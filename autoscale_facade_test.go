@@ -1,10 +1,10 @@
-//lint:file-ignore SA1019 This file deliberately exercises the deprecated registry facades to keep their compatibility contract tested until removal.
 package fastsketches_test
 
-// Registry autoscaling facade tests: Autoscale/AutoscaleAll attach one
-// started controller per registered sketch, the controllers actually walk
-// S through the registry's sketches when driven by a ManualClock, and
-// Close stops them. All timing is manual-clock driven — no sleeps.
+// Registry autoscaling tests: Spec.Autoscale and Apply attach one started
+// controller per registered sketch with replace semantics, the controllers
+// actually walk S through the registry's sketches when driven by a
+// ManualClock, and Close stops them. All timing is manual-clock driven — no
+// sleeps.
 
 import (
 	"testing"
@@ -16,8 +16,8 @@ import (
 
 // testPolicy returns an aggressive manual-clock policy: one qualifying
 // sample resizes, no cooldown.
-func testPolicy(mc *autoscale.ManualClock) autoscale.Policy {
-	return autoscale.Policy{
+func testPolicy(mc *autoscale.ManualClock) *autoscale.Policy {
+	return &autoscale.Policy{
 		MinShards: 1, MaxShards: 8,
 		HighWater: 1000, LowWater: 100,
 		SustainedUp: 1, SustainedDown: 1,
@@ -27,26 +27,39 @@ func testPolicy(mc *autoscale.ManualClock) autoscale.Policy {
 	}
 }
 
+// statsOf reads the live counters of the controller driving the sketch of
+// (family, name), failing the test when none is attached.
+func statsOf(t *testing.T, reg *fastsketches.Registry, family, name string) func() autoscale.Stats {
+	return func() autoscale.Stats {
+		t.Helper()
+		st, ok := reg.AutoscaleStats(family, name)
+		if !ok {
+			t.Fatalf("no controller attached to %s/%s", family, name)
+		}
+		return st
+	}
+}
+
 // advanceTicks drives every controller through n full sampling periods,
 // synchronising on the manual clock's armed-timer count so no tick is lost
 // between a controller's wakeup and its re-arm.
-func advanceTicks(t *testing.T, mc *autoscale.ManualClock, ctls []*autoscale.Controller, n int) {
+func advanceTicks(t *testing.T, mc *autoscale.ManualClock, n int, stats ...func() autoscale.Stats) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	base := make([]int64, len(ctls))
-	for i, ctl := range ctls {
-		base[i] = ctl.Stats().Samples
+	base := make([]int64, len(stats))
+	for i, st := range stats {
+		base[i] = st().Samples
 	}
 	for tick := 1; tick <= n; tick++ {
-		for mc.Waiters() < len(ctls) {
+		for mc.Waiters() < len(stats) {
 			if time.Now().After(deadline) {
 				t.Fatal("controllers never armed their sampling timers")
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
 		mc.Advance(10 * time.Millisecond)
-		for i, ctl := range ctls {
-			for ctl.Stats().Samples < base[i]+int64(tick) {
+		for i, st := range stats {
+			for st().Samples < base[i]+int64(tick) {
 				if time.Now().After(deadline) {
 					t.Fatal("controller never ticked")
 				}
@@ -57,54 +70,65 @@ func advanceTicks(t *testing.T, mc *autoscale.ManualClock, ctls []*autoscale.Con
 }
 
 func TestRegistryAutoscaleAttachesPerSketch(t *testing.T) {
-	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	reg.Theta("tenant-a")
-	reg.HLL("tenant-a")
-	reg.CountMin("tenant-b")
+	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 2})
+	openTheta(t, reg, "tenant-a")
+	openHLL(t, reg, "tenant-a")
+	openCountMin(t, reg, "tenant-b")
 
 	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("tenant-a", testPolicy(mc))
+	n, err := reg.Apply("", "tenant-a", fastsketches.Spec{Autoscale: testPolicy(mc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ctls) != 2 { // theta + hll under tenant-a; tenant-b not matched
-		t.Fatalf("Autoscale(tenant-a) attached %d controllers, want 2", len(ctls))
+	if n != 2 { // theta + hll under tenant-a; tenant-b not matched
+		t.Fatalf("Apply(tenant-a) covered %d sketches, want 2", n)
 	}
-	all, err := reg.AutoscaleAll(testPolicy(mc))
-	if err != nil {
+	for _, fam := range []string{"theta", "hll"} {
+		if _, ok := reg.AutoscaleStats(fam, "tenant-a"); !ok {
+			t.Errorf("%s/tenant-a has no controller after Apply", fam)
+		}
+	}
+	if _, ok := reg.AutoscaleStats("countmin", "tenant-b"); ok {
+		t.Error("Apply(tenant-a) attached a controller to tenant-b")
+	}
+	// Per-sketch attach through Open's Spec, and through one family of a
+	// shared name.
+	if _, err := reg.OpenCountMin("tenant-b", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 {
-		t.Fatalf("AutoscaleAll attached %d controllers, want 3", len(all))
+	if _, ok := reg.AutoscaleStats("countmin", "tenant-b"); !ok {
+		t.Error("Spec.Autoscale attached no controller")
 	}
-	if _, err := reg.Autoscale("nobody", testPolicy(mc)); err == nil {
-		t.Error("Autoscale of an unregistered name must error")
+	if n, err := reg.Apply("hll", "tenant-a", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil || n != 1 {
+		t.Fatalf("family Apply = (%d, %v), want (1, nil)", n, err)
 	}
-	if _, err := reg.AutoscaleAll(autoscale.Policy{}); err == nil {
+
+	if _, err := reg.Apply("", "nobody", fastsketches.Spec{Autoscale: testPolicy(mc)}); err == nil {
+		t.Error("Apply to an unregistered name must error")
+	}
+	if _, err := reg.Apply("", "tenant-a", fastsketches.Spec{Autoscale: &autoscale.Policy{}}); err == nil {
 		t.Error("invalid policy must error")
+	}
+	// Replace, never stack: one controller per sketch survives every call
+	// above, the invalid one included.
+	if got := reg.StopAutoscale("tenant-a"); got != 2 {
+		t.Errorf("StopAutoscale(tenant-a) stopped %d controllers, want 2", got)
+	}
+	if got := reg.StopAutoscale("tenant-b"); got != 1 {
+		t.Errorf("StopAutoscale(tenant-b) stopped %d controllers, want 1", got)
 	}
 }
 
 func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
-	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
-		Shards: 2, Writers: 1, MaxError: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	sk := reg.CountMin("api.calls")
-
+	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1, MaxError: 1})
 	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("api.calls", testPolicy(mc))
+	h, err := reg.OpenCountMin("api.calls", fastsketches.Spec{Autoscale: testPolicy(mc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	advanceTicks(t, mc, ctls, 1) // warmup baseline
+	sk := h.Sketch()
+	stats := statsOf(t, reg, "countmin", "api.calls")
+	advanceTicks(t, mc, 1, stats) // warmup baseline
 
 	// Burst: ingest between every tick; 4000 items per 10ms of manual time
 	// is a per-shard rate far above HighWater → the controller must walk S
@@ -113,7 +137,7 @@ func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 		for i := 0; i < 4000; i++ {
 			sk.Update(0, uint64(i))
 		}
-		advanceTicks(t, mc, ctls, 1)
+		advanceTicks(t, mc, 1, stats)
 	}
 	if got := sk.Shards(); got != 8 {
 		t.Fatalf("shards after sustained burst = %d, want MaxShards 8", got)
@@ -124,11 +148,11 @@ func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for sk.Shards() > 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("controller never scaled back down; shards %d, stats %+v", sk.Shards(), ctls[0].Stats())
+			t.Fatalf("controller never scaled back down; shards %d, stats %+v", sk.Shards(), stats())
 		}
-		advanceTicks(t, mc, ctls, 1)
+		advanceTicks(t, mc, 1, stats)
 	}
-	st := ctls[0].Stats()
+	st := stats()
 	if st.ScaleUps == 0 || st.ScaleDowns == 0 {
 		t.Errorf("stats = %+v, want both ups and downs recorded", st)
 	}
@@ -139,24 +163,24 @@ func TestRegistryCloseStopsControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.Theta("t")
 	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("t", testPolicy(mc))
-	if err != nil {
+	if _, err := reg.OpenTheta("t", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}
+	stats := statsOf(t, reg, "theta", "t")
+	advanceTicks(t, mc, 1, stats)
 	reg.Close()
-	samples := ctls[0].Stats().Samples
+	samples := stats().Samples
 	// The loop is stopped: advancing the clock can no longer produce ticks.
 	mc.Advance(time.Second)
 	mc.Advance(time.Second)
-	if got := ctls[0].Stats().Samples; got != samples {
+	if got := stats().Samples; got != samples {
 		t.Errorf("controller ticked after registry Close: %d → %d samples", samples, got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Autoscale after Close must panic like every registry accessor")
+			t.Error("Apply after Close must panic like every registry accessor")
 		}
 	}()
-	reg.Autoscale("t", testPolicy(mc))
+	reg.Apply("", "t", fastsketches.Spec{Autoscale: testPolicy(mc)})
 }

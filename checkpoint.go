@@ -35,38 +35,13 @@ import (
 // accumulator, the same exact-once plane a Resize drains retired epochs
 // into.
 
-// checkpointable is the slice of a family wrapper the checkpoint encoder
-// drives; all four satisfy it.
-type checkpointable interface {
-	Shards() int
-	AppendSnapshot([]byte) []byte
-	ViewSettings() (shard.ViewConfig, bool)
-	WindowSettings() (shard.WindowConfig, bool)
-	// AppendWindowedSnapshot appends the base blob (everything outside the
-	// closed ring slots) and returns the slot and decay-plane blobs captured
-	// under the same rotation-consistent hold; with no window enabled it
-	// degrades to the plain cumulative AppendSnapshot with an empty tail.
-	AppendWindowedSnapshot([]byte) ([]byte, [][]byte, []byte)
-}
-
-// restorable is the slice of a family wrapper the restore path drives.
-type restorable interface {
-	checkpointable
-	Resize(int) error
-	ImportSnapshot([]byte) error
-	EnableView(shard.ViewConfig) error
-	DisableView() bool
-	DisableWindow() bool
-	RestoreWindow(shard.WindowConfig, [][]byte, []byte) error
-}
-
 // checkpointEntry is one sketch's collected checkpoint inputs, gathered
 // under the registry lock and encoded outside it. The slice holding these is
 // reused across checkpoints.
 type checkpointEntry struct {
 	fam       snapshot.Family
 	name      string
-	sk        checkpointable
+	sk        sharded
 	hasPolicy bool
 	policy    autoscale.Policy
 }
@@ -92,26 +67,12 @@ func (r *Registry) AppendCheckpoint(dst []byte) []byte {
 func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	entries := r.ckptEntries[:0]
 	r.mu.RLock()
-	for n, sk := range r.thetas {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyTheta, name: n, sk: sk})
-	}
-	for n, sk := range r.hlls {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyHLL, name: n, sk: sk})
-	}
-	for n, sk := range r.quants {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyQuantiles, name: n, sk: sk})
-	}
-	for n, sk := range r.cms {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyCountMin, name: n, sk: sk})
-	}
-	for i := range entries {
-		for _, rc := range r.controllers {
-			if any(rc.target) == any(entries[i].sk) {
-				entries[i].hasPolicy = true
-				entries[i].policy = rc.ctl.Policy()
-				break
-			}
+	for _, e := range r.sketches {
+		ce := checkpointEntry{fam: familyCode(e.family), name: e.name, sk: e.sk}
+		if e.ctl != nil {
+			ce.hasPolicy, ce.policy = true, e.ctl.Policy()
 		}
+		entries = append(entries, ce)
 	}
 	r.mu.RUnlock()
 	r.ckptEntries = entries
@@ -233,44 +194,28 @@ func (r *Registry) Restore(rd io.Reader) error {
 	return nil
 }
 
-// restoreRecord applies one parsed checkpoint record.
+// familyCode maps a registry family string to its snapshot (and wire)
+// family code; families lists them in code order.
+func familyCode(family string) snapshot.Family {
+	return snapshot.Family(slices.Index(families[:], family) + 1)
+}
+
+// restoreRecord applies one parsed checkpoint record through the same
+// apply path as Open*: the recorded shard count first, then the state
+// import and window ring, then the recorded view and autoscale policy.
 func (r *Registry) restoreRecord(rec *snapshot.Record) error {
-	name := string(rec.Name)
-	var sk restorable
-	var tgt autoscale.Target
-	switch rec.Family {
-	case snapshot.FamilyTheta:
-		s := r.getTheta(name)
-		sk, tgt = s, s
-	case snapshot.FamilyHLL:
-		s := r.getHLL(name)
-		sk, tgt = s, s
-	case snapshot.FamilyQuantiles:
-		s := r.getQuantiles(name)
-		sk, tgt = s, s
-	case snapshot.FamilyCountMin:
-		s := r.getCountMin(name)
-		sk, tgt = s, s
-	default:
-		return fmt.Errorf("%w: family %d", snapshot.ErrBadRecord, rec.Family)
-	}
 	if rec.Shards < 1 || rec.Shards > wire.MaxShards {
 		return fmt.Errorf("%w: shard count %d outside [1,%d]", snapshot.ErrBadRecord, rec.Shards, wire.MaxShards)
 	}
-	if err := sk.Resize(int(rec.Shards)); err != nil {
+	e, err := r.entryFor(rec.Family.String(), string(rec.Name))
+	if err != nil {
+		return fmt.Errorf("%w: %v", snapshot.ErrBadRecord, err)
+	}
+	if err := r.apply(e, Spec{Shards: int(rec.Shards)}); err != nil {
 		return err
 	}
-	if err := sk.ImportSnapshot(rec.Blob); err != nil {
+	if err := e.sk.ImportSnapshot(rec.Blob); err != nil {
 		return err
-	}
-	if rec.HasView {
-		sk.DisableView()
-		if err := sk.EnableView(shard.ViewConfig{
-			RefreshEvery: time.Duration(rec.ViewRefreshNs),
-			MaxAge:       time.Duration(rec.ViewMaxAgeNs),
-		}); err != nil {
-			return err
-		}
 	}
 	if rec.HasWindow {
 		// Disable-then-restore: restoring over a live window folds the old
@@ -278,8 +223,8 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 		// collapse) and rebuilds the ring from the record, so the cumulative
 		// total never loses counts and the windowed view matches the
 		// checkpoint.
-		sk.DisableWindow()
-		if err := sk.RestoreWindow(shard.WindowConfig{
+		e.sk.DisableWindow()
+		if err := e.sk.RestoreWindow(shard.WindowConfig{
 			Interval: time.Duration(rec.WindowIntervalNs),
 			Slots:    int(rec.WindowSlots),
 			Decay:    rec.WindowDecay,
@@ -287,59 +232,25 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 			return err
 		}
 	}
+	var spec Spec
+	if rec.HasView {
+		spec.View = &ViewConfig{
+			RefreshEvery: time.Duration(rec.ViewRefreshNs),
+			MaxAge:       time.Duration(rec.ViewMaxAgeNs),
+		}
+	}
 	if rec.HasPolicy {
 		// The four recorded knobs travel; the remaining policy fields take
-		// the package's production defaults, exactly as on the OpAutoscale
-		// wire path.
-		if err := r.attachController(tgt, autoscale.Policy{
+		// the package's production defaults, exactly as on the OpOpen wire
+		// path.
+		spec.Autoscale = &AutoscalePolicy{
 			MinShards: int(rec.MinShards),
 			MaxShards: int(rec.MaxShards),
 			HighWater: rec.HighWater,
 			LowWater:  rec.LowWater,
-		}); err != nil {
-			return err
 		}
 	}
-	return nil
-}
-
-// attachController replaces the autoscale controller(s) of one specific
-// sketch: any controller already driving tgt is detached and stopped, and a
-// fresh started one under p takes over — so a Restore into a registry with
-// live controllers swaps rather than stacks them, and stops what it
-// replaces (no goroutine leak). On a policy validation error the previous
-// controllers stay attached.
-func (r *Registry) attachController(tgt autoscale.Target, p autoscale.Policy) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("fastsketches: attach controller after Close")
-	}
-	var detached []registryController
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == any(tgt) {
-			detached = append(detached, rc)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	ctl, err := autoscale.New(tgt, p)
-	if err != nil {
-		r.controllers = append(kept, detached...)
-		r.mu.Unlock()
-		return err
-	}
-	if r.memPressure != nil {
-		ctl.SetMemoryPressure(r.memPressure)
-	}
-	r.controllers = append(kept, registryController{ctl, tgt})
-	r.mu.Unlock()
-	for _, rc := range detached {
-		rc.ctl.Stop()
-	}
-	ctl.Start()
-	return nil
+	return r.apply(e, spec)
 }
 
 // CheckpointFile writes the registry's checkpoint atomically to path: the

@@ -92,14 +92,14 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 	// Serving configuration rides the checkpoint: a view on the HLL and an
 	// autoscale policy on the Count-Min.
-	if _, err := src.ReplaceView("ck.hll", fastsketches.ViewConfig{
+	if _, err := src.Apply("", "ck.hll", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: 40 * time.Millisecond, MaxAge: -1,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.ReplaceAutoscale("ck.cm", autoscale.Policy{
+	if _, err := src.Apply("", "ck.cm", fastsketches.Spec{Autoscale: &autoscale.Policy{
 		MinShards: 1, MaxShards: 16, HighWater: 5e5, LowWater: 1e4,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,9 +305,9 @@ func TestCheckpointUnderFire(t *testing.T) {
 				t.Errorf("resize under checkpoint fire: %v", err)
 				return
 			}
-			if _, err := reg.ReplaceView("fire.cm", fastsketches.ViewConfig{
+			if _, err := reg.Apply("", "fire.cm", fastsketches.Spec{View: &fastsketches.ViewConfig{
 				RefreshEvery: time.Millisecond,
-			}); err != nil {
+			}}); err != nil {
 				t.Errorf("enable view under checkpoint fire: %v", err)
 				return
 			}
@@ -363,9 +363,9 @@ func TestCheckpointUnderFire(t *testing.T) {
 // its goroutine baseline.
 func TestRestoreReplacesControllers(t *testing.T) {
 	src := populated(t, 500)
-	if _, err := src.ReplaceAutoscale("ck.cm", autoscale.Policy{
+	if _, err := src.Apply("", "ck.cm", fastsketches.Spec{Autoscale: &autoscale.Policy{
 		MinShards: 1, MaxShards: 8, HighWater: 1e6,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := src.AppendCheckpoint(nil)

@@ -243,17 +243,17 @@ func (c *Client) Ping() error {
 // Create ensures the named sketch exists (sketches are also created
 // implicitly by the first batch or query that touches them).
 func (c *Client) Create(fam Family, name string) error {
-	return c.doEmpty(&reqSpec{op: wire.OpCreate, fam: fam, name: name})
+	return c.open(fam, name, wire.Open{})
 }
 
-// Resize live-reshards the named sketch to the given shard count: the
-// remote counterpart of Registry.Resize*, walking the throughput/staleness
-// trade-off without restarting writers or queriers.
+// Resize live-reshards the named sketch to the given shard count, creating
+// it if absent: the remote counterpart of Spec.Shards, walking the
+// throughput/staleness trade-off without restarting writers or queriers.
 func (c *Client) Resize(fam Family, name string, shards int) error {
 	if shards < 1 || shards > wire.MaxShards {
 		return fmt.Errorf("client: resize to %d shards outside [1,%d]", shards, wire.MaxShards)
 	}
-	return c.doEmpty(&reqSpec{op: wire.OpResize, fam: fam, name: name, arg: uint64(shards)})
+	return c.open(fam, name, wire.Open{HasShards: true, Shards: uint32(shards)})
 }
 
 // Autoscale attaches an autoscaling controller (production defaults for
@@ -266,8 +266,8 @@ func (c *Client) Autoscale(name string, minShards, maxShards int, high, low floa
 	if minShards < 0 || maxShards < 0 || minShards > wire.MaxShards || maxShards > wire.MaxShards {
 		return fmt.Errorf("client: autoscale shard bounds outside [0,%d]", wire.MaxShards)
 	}
-	return c.doEmpty(&reqSpec{op: wire.OpAutoscale, name: name,
-		minS: uint32(minShards), maxS: uint32(maxShards), high: high, low: low})
+	return c.open(wire.FamilyAny, name, wire.Open{HasAutoscale: true,
+		MinShards: uint32(minShards), MaxShards: uint32(maxShards), HighWater: high, LowWater: low})
 }
 
 // EnableView materializes the merged view of every sketch registered under
@@ -281,8 +281,8 @@ func (c *Client) Autoscale(name string, minShards, maxShards int, high, low floa
 // intervals. Count-Min per-key counts keep reading their owning shard
 // directly and are unaffected.
 func (c *Client) EnableView(name string, refreshEvery, maxAge time.Duration) error {
-	return c.doEmpty(&reqSpec{op: wire.OpEnableView, name: name,
-		arg: uint64(refreshEvery.Nanoseconds()), arg2: uint64(maxAge.Nanoseconds())})
+	return c.open(wire.FamilyAny, name, wire.Open{HasView: true,
+		ViewRefreshNs: refreshEvery.Nanoseconds(), ViewMaxAgeNs: maxAge.Nanoseconds()})
 }
 
 // DisableView stops the materialized views of every sketch registered under
@@ -311,8 +311,14 @@ func (c *Client) EnableWindow(name string, interval time.Duration, slots int, de
 	if slots < 0 {
 		return fmt.Errorf("client: window slots %d must be non-negative", slots)
 	}
-	return c.doEmpty(&reqSpec{op: wire.OpEnableWindow, name: name,
-		arg: uint64(interval.Nanoseconds()), slots: uint32(slots), arg2: math.Float64bits(decay)})
+	return c.open(wire.FamilyAny, name, wire.Open{HasWindow: true,
+		WindowIntervalNs: interval.Nanoseconds(), WindowSlots: uint32(slots), WindowDecay: decay})
+}
+
+// open sends one OpOpen: the sections of o declared on the named sketch of
+// fam, or with wire.FamilyAny on every sketch registered under name.
+func (c *Client) open(fam Family, name string, o wire.Open) error {
+	return c.doEmpty(&reqSpec{op: wire.OpOpen, fam: fam, name: name, open: o})
 }
 
 // DisableWindow collapses the windows of every sketch registered under name
@@ -514,18 +520,15 @@ func (c *Client) OpsStats() (OpsStats, error) {
 // encodes it under the per-connection buffer lock — keeping every call
 // site's hot path free of closures and per-request buffers.
 type reqSpec struct {
-	op         wire.Op
-	fam        Family
-	q          wire.Query
-	name       string
-	arg        uint64
-	arg2       uint64
-	slots      uint32
-	minS, maxS uint32
-	high, low  float64
-	items      []uint64
-	blob       []byte
-	addr       string
+	op    wire.Op
+	fam   Family
+	q     wire.Query
+	name  string
+	arg   uint64
+	open  wire.Open
+	items []uint64
+	blob  []byte
+	addr  string
 }
 
 // conn is one pooled connection: writes serialised under wmu into a
@@ -678,22 +681,14 @@ func (cn *conn) roundTrip(sp *reqSpec) (*call, error) {
 		b = wire.AppendPing(b, id)
 	case wire.OpNames:
 		b = wire.AppendNamesReq(b, id)
-	case wire.OpCreate:
-		b = wire.AppendCreate(b, id, sp.fam, sp.name)
+	case wire.OpOpen:
+		b = wire.AppendOpen(b, id, sp.fam, sp.name, &sp.open)
 	case wire.OpDrop:
 		b = wire.AppendDrop(b, id, sp.fam, sp.name)
 	case wire.OpInfo:
 		b = wire.AppendInfo(b, id, sp.fam, sp.name)
-	case wire.OpResize:
-		b = wire.AppendResize(b, id, sp.fam, sp.name, int(sp.arg))
-	case wire.OpAutoscale:
-		b = wire.AppendAutoscale(b, id, sp.name, int(sp.minS), int(sp.maxS), sp.high, sp.low)
-	case wire.OpEnableView:
-		b = wire.AppendEnableView(b, id, sp.name, sp.arg, sp.arg2)
 	case wire.OpDisableView:
 		b = wire.AppendDisableView(b, id, sp.name)
-	case wire.OpEnableWindow:
-		b = wire.AppendEnableWindow(b, id, sp.name, sp.arg, sp.slots, math.Float64frombits(sp.arg2))
 	case wire.OpDisableWindow:
 		b = wire.AppendDisableWindow(b, id, sp.name)
 	case wire.OpBatch:

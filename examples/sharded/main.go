@@ -16,8 +16,8 @@
 //   - readers that want to avoid even the pooled accumulator can own one:
 //     NewAccumulator + QueryInto give a zero-allocation merged query per
 //     reader goroutine (see the monitor below);
-//   - the shard count is live-tunable: Registry.ResizeTheta (and the other
-//     family facades) reshards a named sketch under full write fire — see
+//   - the shard count is live-tunable: Handle.Resize (or Spec.Shards on
+//     Open) reshards a named sketch under full write fire — see
 //     examples/resharding for that walkthrough.
 //
 // The walkthrough simulates a tiny analytics service: per-tenant unique

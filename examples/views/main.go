@@ -4,7 +4,7 @@
 // A merged query on a sharded sketch folds one wait-free snapshot per
 // shard: O(S) work per query, the right default for occasionally-queried
 // sketches and the wrong one for a dashboard polling a wide sketch a
-// thousand times a second. Registry.EnableView moves the fold off the
+// thousand times a second. Declaring Spec.View moves the fold off the
 // query path: a background refresher folds the sketch's entire published
 // state into a double-buffered merged accumulator every RefreshEvery and
 // publishes it atomically; queries then fold that single accumulator —
@@ -61,15 +61,15 @@ func main() {
 
 	liveNs := poll("live fold (O(S), S=8):")
 
-	// Enable the view: one synchronous refresh (so a view is available
-	// immediately), then a background refresher every 20ms.
-	n, err := reg.ReplaceView("dashboard/users", fastsketches.ViewConfig{
-		RefreshEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
+	// Declare the view: reopening the name with Spec.View runs one
+	// synchronous refresh (so a view is available immediately), then a
+	// background refresher every 20ms.
+	if _, err := reg.OpenTheta("dashboard/users", fastsketches.Spec{
+		View: &fastsketches.ViewConfig{RefreshEvery: 20 * time.Millisecond},
+	}); err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nview enabled on %d sketch(es) under the name\n", n)
+	fmt.Printf("\nview enabled: %v\n", h.ViewEnabled())
 
 	viewNs := poll("through the view (O(1)):")
 	fmt.Printf("speedup %.1fx; the O(S) fold now runs on the refresher, not per query\n\n",
@@ -77,7 +77,7 @@ func main() {
 
 	// The price: freshness. New ingest is invisible to the view until the
 	// next refresh folds it — bounded by S·r plus one refresh interval.
-	inf, _ := reg.Info("theta", "dashboard/users")
+	inf, _ := h.Info()
 	fmt.Printf("staleness bound: S·r = %d completed updates + view lag (now %v)\n",
 		inf.Relaxation, inf.ViewLag)
 	for i := 0; i < 50_000; i++ {
@@ -90,7 +90,7 @@ func main() {
 		users.Estimate())
 
 	// Disable: queries return to the live fold, fully fresh, O(S) again.
-	reg.StopView("dashboard/users")
+	h.DisableView()
 	fmt.Println("view disabled — queries fold live snapshots again")
 	fmt.Println("\nThe trade mirrors the paper's: sharding bought ingest throughput with")
 	fmt.Println("merged-query staleness (S·r); the view buys query throughput with one")

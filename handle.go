@@ -20,10 +20,10 @@ type AutoscalePolicy = autoscale.Policy
 // Spec declares a sketch's lifecycle in one place: its shard geometry, its
 // materialized view, its autoscaling policy, and how the ops layer's
 // eviction and budget sweeps may treat it. Open* applies the spec to the
-// named sketch (creating it on first use) and returns a typed Handle — the
-// one-call replacement for the per-family get/Resize/EnableView/Autoscale
-// call sprawl. The zero Spec is valid and declares nothing: the sketch is
-// created (or found) with the registry's defaults and left untouched.
+// named sketch (creating it on first use) and returns a typed Handle;
+// Registry.Apply applies it to sketches that already exist. The zero Spec
+// is valid and declares nothing: the sketch is created (or found) with the
+// registry's defaults and left untouched.
 type Spec struct {
 	// Shards is the declared shard count S. 0 leaves the sketch at its
 	// current (or the registry's default) S; a positive value live-resizes
@@ -32,9 +32,8 @@ type Spec struct {
 	// exactly like Handle.Resize.
 	Shards int
 	// View, when non-nil, (re-)materializes the sketch's merged view under
-	// this config: the refresher is re-armed on every Open that declares it
-	// (idempotent per handle, mirroring ReplaceView). Nil leaves any
-	// existing view untouched.
+	// this config: the refresher is re-armed on every Open or Apply that
+	// declares it. Nil leaves any existing view untouched.
 	View *ViewConfig
 	// Autoscale, when non-nil, attaches an autoscaling controller under
 	// this policy with replace semantics: a controller already driving the
@@ -111,10 +110,9 @@ type Sketch[T any, A any] interface {
 // retained *shard.Theta. Reopening the name yields a fresh sketch and
 // fresh handles.
 type Handle[T any, A any, S Sketch[T, A]] struct {
-	r      *Registry
-	family string
-	name   string
-	sk     S
+	r  *Registry
+	e  *entry
+	sk S
 }
 
 // Per-family Handle instantiations — what the Open* constructors return.
@@ -132,100 +130,49 @@ type (
 // OpenTheta returns a typed handle on the named Θ distinct-count sketch,
 // creating the sketch on first use and applying spec (see Spec; the zero
 // Spec declares nothing). Open is idempotent: reopening a live name returns
-// a handle on the same sketch, re-applying only what the spec declares.
+// a handle on the same sketch, re-applying only what the spec declares. An
+// Open racing a Drop of the same name may fail with the error of the
+// dropped sketch; nothing it declared survives on that sketch.
 func (r *Registry) OpenTheta(name string, spec Spec) (*ThetaHandle, error) {
-	sk := r.getTheta(name)
-	if err := r.applySpec("theta", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &ThetaHandle{r: r, family: "theta", name: name, sk: sk}, nil
+	return openHandle[uint64, *theta.Union, *shard.Theta](r, "theta", name, spec)
 }
 
 // OpenHLL is OpenTheta for the named HLL sketch.
 func (r *Registry) OpenHLL(name string, spec Spec) (*HLLHandle, error) {
-	sk := r.getHLL(name)
-	if err := r.applySpec("hll", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &HLLHandle{r: r, family: "hll", name: name, sk: sk}, nil
+	return openHandle[uint64, *hll.Sketch, *shard.HLL](r, "hll", name, spec)
 }
 
 // OpenQuantiles is OpenTheta for the named quantiles sketch.
 func (r *Registry) OpenQuantiles(name string, spec Spec) (*QuantilesHandle, error) {
-	sk := r.getQuantiles(name)
-	if err := r.applySpec("quantiles", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &QuantilesHandle{r: r, family: "quantiles", name: name, sk: sk}, nil
+	return openHandle[float64, *quantiles.Accumulator, *shard.Quantiles](r, "quantiles", name, spec)
 }
 
 // OpenCountMin is OpenTheta for the named Count-Min sketch.
 func (r *Registry) OpenCountMin(name string, spec Spec) (*CountMinHandle, error) {
-	sk := r.getCountMin(name)
-	if err := r.applySpec("countmin", name, sk, spec); err != nil {
+	return openHandle[uint64, *countmin.Sketch, *shard.CountMin](r, "countmin", name, spec)
+}
+
+func openHandle[T any, A any, S Sketch[T, A]](r *Registry, family, name string, spec Spec) (*Handle[T, A, S], error) {
+	e, err := r.open(family, name, spec)
+	if err != nil {
 		return nil, err
 	}
-	return &CountMinHandle{r: r, family: "countmin", name: name, sk: sk}, nil
+	return &Handle[T, A, S]{r: r, e: e, sk: e.sk.(S)}, nil
 }
 
-// specTarget is the family-agnostic slice of a sharded sketch applySpec
-// drives: the autoscale resize target plus the view and window switches.
-type specTarget interface {
-	autoscale.Target
-	EnableView(ViewConfig) error
-	DisableView() bool
-	EnableWindow(WindowConfig) error
-	DisableWindow() bool
-	WindowSettings() (WindowConfig, bool)
-}
-
-// applySpec applies one Spec to one sketch. Resize and view re-arming run
-// outside the registry lock (both serialise on the sketch's own resize
-// lock); only the lifecycle record takes r.mu, briefly.
-func (r *Registry) applySpec(family, name string, sk specTarget, spec Spec) error {
+// validate rejects the negative values Spec documents as invalid and a
+// window config that cannot normalise, before any section takes effect.
+func (spec *Spec) validate() error {
 	if spec.Shards < 0 {
 		return fmt.Errorf("%w: negative Spec.Shards", ErrConfig)
 	}
 	if spec.IdleTTL < 0 {
 		return fmt.Errorf("%w: negative Spec.IdleTTL", ErrConfig)
 	}
-	if spec.Shards > 0 && sk.Shards() != spec.Shards {
-		if err := sk.Resize(spec.Shards); err != nil {
-			return err
-		}
-	}
-	if spec.View != nil {
-		sk.DisableView()
-		if err := sk.EnableView(*spec.View); err != nil {
-			return err
-		}
-	}
 	if spec.Window != nil {
-		want, err := spec.Window.Normalise()
-		if err != nil {
+		if _, err := spec.Window.Normalise(); err != nil {
 			return err
 		}
-		// Equal declaration → no-op, so routinely reopening a windowed
-		// sketch never discards its ring of closed intervals; only a changed
-		// config re-arms (collapse into the cumulative plane, fresh ring).
-		if cur, ok := sk.WindowSettings(); !ok || !cur.Same(want) {
-			sk.DisableWindow()
-			if err := sk.EnableWindow(*spec.Window); err != nil {
-				return err
-			}
-		}
-	}
-	if spec.Autoscale != nil {
-		if err := r.attachController(sk, *spec.Autoscale); err != nil {
-			return err
-		}
-	}
-	if spec.IdleTTL != 0 || spec.Pinned {
-		r.mu.Lock()
-		if !r.closed {
-			r.lifecycles[family+"/"+name] = lifecycleSpec{spec.IdleTTL, spec.Pinned}
-		}
-		r.mu.Unlock()
 	}
 	return nil
 }
@@ -233,10 +180,10 @@ func (r *Registry) applySpec(family, name string, sk specTarget, spec Spec) erro
 // Family returns the handle's family string ("theta", "hll", "quantiles",
 // "countmin") — the discriminator Registry.Info/Drop and the wire protocol
 // use.
-func (h *Handle[T, A, S]) Family() string { return h.family }
+func (h *Handle[T, A, S]) Family() string { return h.e.family }
 
 // Name returns the sketch's registered name.
-func (h *Handle[T, A, S]) Name() string { return h.name }
+func (h *Handle[T, A, S]) Name() string { return h.e.name }
 
 // Sketch returns the concrete sharded sketch for family-specific calls —
 // Theta/HLL Estimate, Quantiles Quantile/Rank/N, CountMin per-key Estimate,
@@ -348,58 +295,32 @@ func (h *Handle[T, A, S]) RotateNow() bool { return h.sk.RotateNow() }
 
 // Autoscale attaches an autoscaling controller under p with replace
 // semantics — any controller already driving this sketch is stopped and
-// swapped, never stacked (the idempotent per-sketch form of
-// Registry.ReplaceAutoscale).
+// swapped, never stacked. It is Spec.Autoscale applied to this handle's
+// sketch, and fails once the sketch has been dropped.
 func (h *Handle[T, A, S]) Autoscale(p AutoscalePolicy) error {
-	return h.r.attachController(h.sk, p)
+	return h.r.apply(h.e, Spec{Autoscale: &p})
 }
 
-// StopAutoscale stops and detaches every controller driving this sketch,
-// reporting how many were stopped.
+// StopAutoscale stops and detaches the controller driving this sketch,
+// reporting how many were stopped (0 or 1).
 func (h *Handle[T, A, S]) StopAutoscale() int {
-	return h.r.stopControllersFor(h.sk)
+	return h.r.stopAutoscale([]*entry{h.e})
 }
 
 // Info returns the sketch's live metadata (geometry, staleness bounds,
 // pressure counters, resident size, lifecycle), or ok=false after Drop.
 func (h *Handle[T, A, S]) Info() (SketchInfo, bool) {
-	return h.r.Info(h.family, h.name)
+	return h.r.Info(h.e.family, h.e.name)
 }
 
 // AutoscaleStats returns the live counters of the controller driving this
 // sketch, or ok=false when none is attached.
 func (h *Handle[T, A, S]) AutoscaleStats() (autoscale.Stats, bool) {
-	return h.r.AutoscaleStats(h.family, h.name)
+	return h.r.AutoscaleStats(h.e.family, h.e.name)
 }
 
 // Drop closes and removes the sketch from the registry, reporting whether
 // it still existed — see Registry.Drop for the retained-handle contract.
 func (h *Handle[T, A, S]) Drop() bool {
-	return h.r.Drop(h.family, h.name)
-}
-
-// stopControllersFor stops and detaches every controller whose target is
-// the given sketch, returning how many were stopped — Handle.StopAutoscale
-// without the name-spanning cross-family semantics of StopAutoscale.
-func (r *Registry) stopControllersFor(tgt any) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	var stop []*autoscale.Controller
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == tgt {
-			stop = append(stop, rc.ctl)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
-	r.mu.Unlock()
-	for _, ctl := range stop {
-		ctl.Stop()
-	}
-	return len(stop)
+	return h.r.Drop(h.e.family, h.e.name)
 }

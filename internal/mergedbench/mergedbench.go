@@ -83,10 +83,8 @@ func newSuite(shards, uniques int, schedule []int) (*Suite, error) {
 	}
 	for i := 0; i < uniques; i++ {
 		if newS, ok := cuts[i]; ok {
-			for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-				if err := reg.ResizeSketch(fam, "bench", newS); err != nil {
-					return nil, err
-				}
+			if _, err := reg.Apply("", "bench", fastsketches.Spec{Shards: newS}); err != nil {
+				return nil, err
 			}
 		}
 		s.Theta.Update(0, uint64(i))

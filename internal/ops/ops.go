@@ -283,7 +283,7 @@ func (m *Manager) Sweep() SweepResult {
 				continue
 			}
 			if c.Shards > m.cfg.ShrinkToShards {
-				if err := m.reg.ResizeSketch(c.Family, c.Name, m.cfg.ShrinkToShards); err != nil {
+				if _, err := m.reg.Apply(c.Family, c.Name, fastsketches.Spec{Shards: m.cfg.ShrinkToShards}); err != nil {
 					continue // racing drop/close; the next sweep re-reads
 				}
 				m.shrinks.Add(1)

@@ -309,7 +309,7 @@ func TestEvictVsQueryVsResize(t *testing.T) {
 			default:
 			}
 			name := fmt.Sprintf("stress/%d", i%names)
-			_ = reg.ResizeSketch("theta", name, 1+i%3)
+			_, _ = reg.Apply("theta", name, fastsketches.Spec{Shards: 1 + i%3})
 		}
 	}()
 

@@ -3,8 +3,9 @@ package server
 import (
 	"fmt"
 	"math"
+	"time"
 
-	"fastsketches/internal/autoscale"
+	"fastsketches"
 	"fastsketches/internal/wire"
 )
 
@@ -138,14 +139,41 @@ func appendNoWindow(out []byte, req *wire.Request) []byte {
 		fmt.Sprintf("no window declared on %s/%s", req.Family, req.Name))
 }
 
-// autoscalePolicy maps the wire knobs onto an autoscale.Policy; sampling
-// cadence, streaks, cooldown and step factor take the package's production
-// defaults (see autoscale.Policy).
-func autoscalePolicy(req *wire.Request) autoscale.Policy {
-	return autoscale.Policy{
-		MinShards: int(req.MinShards),
-		MaxShards: int(req.MaxShards),
-		HighWater: req.High,
-		LowWater:  req.Low,
+// openSpec checks an OpOpen body's bounds and maps its sections onto a
+// Spec. The autoscale section carries four policy knobs; sampling cadence,
+// streaks, cooldown and step factor take the package's production defaults
+// (see autoscale.Policy).
+func openSpec(o *wire.Open) (fastsketches.Spec, error) {
+	var spec fastsketches.Spec
+	if o.HasShards {
+		if o.Shards < 1 || o.Shards > wire.MaxShards {
+			return spec, fmt.Errorf("resize to %d shards outside [1,%d]", o.Shards, wire.MaxShards)
+		}
+		spec.Shards = int(o.Shards)
 	}
+	if o.HasView {
+		spec.View = &fastsketches.ViewConfig{
+			RefreshEvery: time.Duration(o.ViewRefreshNs),
+			MaxAge:       time.Duration(o.ViewMaxAgeNs),
+		}
+	}
+	if o.HasWindow {
+		spec.Window = &fastsketches.WindowConfig{
+			Interval: time.Duration(o.WindowIntervalNs),
+			Slots:    int(o.WindowSlots),
+			Decay:    o.WindowDecay,
+		}
+	}
+	if o.HasAutoscale {
+		if o.MinShards > wire.MaxShards || o.MaxShards > wire.MaxShards {
+			return spec, fmt.Errorf("autoscale shard bounds exceed %d", wire.MaxShards)
+		}
+		spec.Autoscale = &fastsketches.AutoscalePolicy{
+			MinShards: int(o.MinShards),
+			MaxShards: int(o.MaxShards),
+			HighWater: o.HighWater,
+			LowWater:  o.LowWater,
+		}
+	}
+	return spec, nil
 }

@@ -21,10 +21,11 @@
 //     the sketch or its shard count), reset and refolded per query — the
 //     serving path inherits the library's zero-alloc merged-query contract.
 //
-//   - Admin ops. Create, live Resize, Autoscale attachment, Drop, and
-//     Names/Info enumeration map 1:1 onto the registry's facades, so a
-//     remote operator can walk the throughput/staleness trade-off of a live
-//     sketch exactly as in-process code can.
+//   - Admin ops. OpOpen carries a declarative Spec (shards, view, window,
+//     autoscale) onto the registry's Open*/Apply path; Drop and Names/Info
+//     enumeration map 1:1 onto the registry, so a remote operator can walk
+//     the throughput/staleness trade-off of a live sketch exactly as
+//     in-process code can.
 //
 // Shutdown is graceful by construction: the listener closes, in-flight
 // requests (including long batch dispatches) run to completion and are
@@ -337,6 +338,25 @@ func applyFloats(writers int, update func(lane int, vs []float64)) func(lane int
 	}
 }
 
+// open applies an OpOpen: with a concrete family the registry's Open*
+// (creating the sketch on first use), with FamilyAny Apply across every
+// family registered under name (creating nothing).
+func (s *Server) open(fam wire.Family, name string, spec fastsketches.Spec) (err error) {
+	switch fam {
+	case wire.FamilyAny:
+		_, err = s.reg.Apply("", name, spec)
+	case wire.FamilyTheta:
+		_, err = s.reg.OpenTheta(name, spec)
+	case wire.FamilyHLL:
+		_, err = s.reg.OpenHLL(name, spec)
+	case wire.FamilyQuantiles:
+		_, err = s.reg.OpenQuantiles(name, spec)
+	case wire.FamilyCountMin:
+		_, err = s.reg.OpenCountMin(name, spec)
+	}
+	return err
+}
+
 // drop retires the named sketch: the lane workers drain and exit first
 // (close waits out in-flight chunks, whose Updates still land on the open
 // sketch), then the registry closes and unregisters it, then every
@@ -581,61 +601,12 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 	case wire.OpQuery:
 		return cs.query(req, out)
 
-	case wire.OpCreate:
-		switch req.Family {
-		case wire.FamilyTheta:
-			cs.theta(req.Name)
-		case wire.FamilyHLL:
-			cs.hll(req.Name)
-		case wire.FamilyQuantiles:
-			cs.quantiles(req.Name)
-		case wire.FamilyCountMin:
-			cs.countmin(req.Name)
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpResize:
-		if req.Arg < 1 || req.Arg > wire.MaxShards {
-			return wire.AppendError(out, req.ID,
-				fmt.Sprintf("resize to %d shards outside [1,%d]", req.Arg, wire.MaxShards))
-		}
-		var err error
-		switch req.Family {
-		case wire.FamilyTheta:
-			err = cs.theta(req.Name).Resize(int(req.Arg))
-		case wire.FamilyHLL:
-			err = cs.hll(req.Name).Resize(int(req.Arg))
-		case wire.FamilyQuantiles:
-			err = cs.quantiles(req.Name).Resize(int(req.Arg))
-		case wire.FamilyCountMin:
-			err = cs.countmin(req.Name).Resize(int(req.Arg))
+	case wire.OpOpen:
+		spec, err := openSpec(&req.Open)
+		if err == nil {
+			err = cs.s.open(req.Family, string(req.Name), spec)
 		}
 		if err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpAutoscale:
-		if req.MaxShards > wire.MaxShards || req.MinShards > wire.MaxShards {
-			return wire.AppendError(out, req.ID,
-				fmt.Sprintf("autoscale shard bounds exceed %d", wire.MaxShards))
-		}
-		// Atomic replace semantics: any controllers already attached under
-		// the name are swapped out in the same registry lock acquisition
-		// that attaches the new policy, so a retried or concurrent admin
-		// request can never leave two retained hysteresis loops driving
-		// one sketch's shard count.
-		if _, err := cs.s.reg.ReplaceAutoscale(string(req.Name), autoscalePolicy(req)); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpEnableView:
-		cfg := fastsketches.ViewConfig{
-			RefreshEvery: time.Duration(int64(req.Arg)),
-			MaxAge:       time.Duration(int64(req.Arg2)),
-		}
-		if _, err := cs.s.reg.ReplaceView(string(req.Name), cfg); err != nil {
 			return wire.AppendError(out, req.ID, err.Error())
 		}
 		return wire.AppendOK(out, req.ID)
@@ -643,17 +614,6 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 	case wire.OpDisableView:
 		if cs.s.reg.StopView(string(req.Name)) == 0 {
 			return wire.AppendError(out, req.ID, fmt.Sprintf("no view enabled on %q", req.Name))
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpEnableWindow:
-		cfg := fastsketches.WindowConfig{
-			Interval: time.Duration(int64(req.Arg)),
-			Slots:    int(req.Slots),
-			Decay:    math.Float64frombits(req.Arg2),
-		}
-		if _, err := cs.s.reg.ReplaceWindow(string(req.Name), cfg); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
 		}
 		return wire.AppendOK(out, req.ID)
 

@@ -91,7 +91,7 @@ func TestServeBasicOps(t *testing.T) {
 	c := dialT(t, addr)
 
 	c.mustOK(wire.AppendPing(nil, c.nextID()))
-	c.mustOK(wire.AppendCreate(nil, c.nextID(), wire.FamilyTheta, "users"))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyTheta, "users", &wire.Open{}))
 
 	// Batched ingest: 10k distinct keys, acked in full.
 	keys := make([]uint64, 10_000)
@@ -144,14 +144,15 @@ func TestServeBasicOps(t *testing.T) {
 	}
 
 	// Live resize via admin op, visible in Info.
-	c.mustOK(wire.AppendResize(nil, c.nextID(), wire.FamilyTheta, "users", 4))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyTheta, "users", &wire.Open{HasShards: true, Shards: 4}))
 	inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyTheta, "users")))
 	if err != nil || inf.Shards != 4 {
 		t.Fatalf("info after resize = %+v (err %v), want S=4", inf, err)
 	}
 
 	// Autoscale attaches to the named sketches.
-	c.mustOK(wire.AppendAutoscale(nil, c.nextID(), "users", 2, 8, 1e6, 1e3))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyAny, "users", &wire.Open{
+		HasAutoscale: true, MinShards: 2, MaxShards: 8, HighWater: 1e6, LowWater: 1e3}))
 
 	// Errors: unsupported query kind, unknown sketch metadata, drop of an
 	// absent sketch — all answered, connection stays usable.
@@ -227,7 +228,7 @@ func TestMalformedFramesNoPanic(t *testing.T) {
 			return f
 		}(),
 		// Bad family.
-		append(binary.LittleEndian.AppendUint32(nil, 8), byte(wire.OpCreate), 1, 0, 0, 0, 0x7F, 1, 'x'),
+		append(binary.LittleEndian.AppendUint32(nil, 8), byte(wire.OpDrop), 1, 0, 0, 0, 0x7F, 1, 'x'),
 		// Zero-length payload.
 		binary.LittleEndian.AppendUint32(nil, 0),
 	}
@@ -315,7 +316,7 @@ func TestResizeUnderFire(t *testing.T) {
 		defer wg.Done()
 		c := dialT(t, addr)
 		// Touch the sketch so resize has a target even if ingest lags.
-		c.mustOK(wire.AppendCreate(nil, 1, wire.FamilyCountMin, "fire"))
+		c.mustOK(wire.AppendOpen(nil, 1, wire.FamilyCountMin, "fire", &wire.Open{}))
 		sizes := []int{4, 1, 3, 2}
 		for i := 0; ; i++ {
 			select {
@@ -323,7 +324,8 @@ func TestResizeUnderFire(t *testing.T) {
 				return
 			default:
 			}
-			c.mustOK(wire.AppendResize(nil, uint32(i+2), wire.FamilyCountMin, "fire", sizes[i%len(sizes)]))
+			c.mustOK(wire.AppendOpen(nil, uint32(i+2), wire.FamilyCountMin, "fire",
+				&wire.Open{HasShards: true, Shards: uint32(sizes[i%len(sizes)])}))
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -513,14 +515,15 @@ func TestServeViewOps(t *testing.T) {
 	c := dialT(t, addr)
 
 	// Enabling a view on a name with no sketches is a typed error.
-	if status, _ := c.roundTrip(wire.AppendEnableView(nil, c.nextID(), "absent", 0, 0)); status != wire.StatusError {
+	if status, _ := c.roundTrip(wire.AppendOpen(nil, c.nextID(), wire.FamilyAny, "absent",
+		&wire.Open{HasView: true})); status != wire.StatusError {
 		t.Fatal("enable-view on absent name should fail")
 	}
 	if status, _ := c.roundTrip(wire.AppendDisableView(nil, c.nextID(), "absent")); status != wire.StatusError {
 		t.Fatal("disable-view on absent name should fail")
 	}
 
-	c.mustOK(wire.AppendCreate(nil, c.nextID(), wire.FamilyCountMin, "viewed"))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyCountMin, "viewed", &wire.Open{}))
 	items := make([]uint64, 2000)
 	for i := range items {
 		items[i] = uint64(i % 5)
@@ -529,7 +532,8 @@ func TestServeViewOps(t *testing.T) {
 
 	// Enable with an hour-long refresh: the synchronous initial refresh is
 	// the only fold, so the served totals below come from the published view.
-	c.mustOK(wire.AppendEnableView(nil, c.nextID(), "viewed", uint64(time.Hour), ^uint64(0)))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyAny, "viewed",
+		&wire.Open{HasView: true, ViewRefreshNs: int64(time.Hour), ViewMaxAgeNs: -1}))
 	inf, err := wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyCountMin, "viewed")))
 	if err != nil {
 		t.Fatal(err)
@@ -560,6 +564,64 @@ func TestServeViewOps(t *testing.T) {
 	c.mustOK(wire.AppendPing(nil, c.nextID()))
 }
 
+// TestServeOpen drives the one configure op: a family-specific OpOpen
+// creates the sketch and applies its sections, FamilyAny applies across the
+// families registered under the name and creates nothing, and out-of-range
+// sections are typed errors on a connection that stays usable.
+func TestServeOpen(t *testing.T) {
+	_, reg, addr := startServer(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1})
+	c := dialT(t, addr)
+
+	every := &wire.Open{
+		HasShards: true, Shards: 3,
+		HasView: true, ViewRefreshNs: int64(time.Hour), ViewMaxAgeNs: -1,
+		HasWindow: true, WindowIntervalNs: int64(time.Hour), WindowSlots: 2, WindowDecay: 0.5,
+		HasAutoscale: true, MinShards: 1, MaxShards: 4, HighWater: 1e9, LowWater: 1,
+	}
+	if status, _ := c.roundTrip(wire.AppendOpen(nil, c.nextID(), wire.FamilyAny, "ghost", every)); status != wire.StatusError {
+		t.Fatal("FamilyAny open on an unknown name should fail")
+	}
+	if names := reg.Names(); len(names) != 0 {
+		t.Fatalf("FamilyAny open created %v", names)
+	}
+
+	// Family-specific: creates, then applies every section.
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyCountMin, "made", every))
+	inf, ok := reg.Info("countmin", "made")
+	if !ok || inf.Shards != 3 || !inf.ViewEnabled || !inf.WindowEnabled || inf.WindowDecay != 0.5 {
+		t.Fatalf("opened sketch info = %+v (ok %v), want S=3 with view and decayed window", inf, ok)
+	}
+	if _, ok := reg.AutoscaleStats("countmin", "made"); !ok {
+		t.Fatal("autoscale section attached no controller")
+	}
+
+	// FamilyAny spans the name's families; decay is dropped where the family
+	// has no scalable counters.
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyHLL, "made", &wire.Open{}))
+	c.mustOK(wire.AppendOpen(nil, c.nextID(), wire.FamilyAny, "made", &wire.Open{HasShards: true, Shards: 2,
+		HasWindow: true, WindowIntervalNs: int64(time.Minute), WindowDecay: 0.25}))
+	for _, fam := range []string{"countmin", "hll"} {
+		if inf, _ := reg.Info(fam, "made"); inf.Shards != 2 || inf.WindowInterval != time.Minute {
+			t.Fatalf("%s after FamilyAny open = %+v, want S=2 and a 1m window", fam, inf)
+		}
+	}
+	if inf, _ := reg.Info("hll", "made"); inf.WindowDecay != 0 {
+		t.Fatalf("hll window decay %v, want stripped", inf.WindowDecay)
+	}
+
+	for _, o := range []*wire.Open{
+		{HasShards: true, Shards: 0},
+		{HasShards: true, Shards: wire.MaxShards + 1},
+		{HasAutoscale: true, MaxShards: wire.MaxShards + 1},
+		{HasWindow: true, WindowIntervalNs: int64(time.Hour), WindowDecay: 1.5},
+	} {
+		if status, _ := c.roundTrip(wire.AppendOpen(nil, c.nextID(), wire.FamilyTheta, "bad", o)); status != wire.StatusError {
+			t.Fatalf("open %+v accepted", *o)
+		}
+	}
+	c.mustOK(wire.AppendPing(nil, c.nextID()))
+}
+
 // TestServeEdgeCases pins the request edge cases that used to cost clients
 // their connection: a malformed-but-addressable request gets a typed error
 // reply and the SAME connection keeps serving; zero-item batches ack
@@ -581,7 +643,7 @@ func TestServeEdgeCases(t *testing.T) {
 	// keep the connection open — pinned by the follow-up ping on the SAME
 	// connection.
 	raw := binary.LittleEndian.AppendUint32(nil, 7) // payload length
-	raw = append(raw, byte(wire.OpCreate), 0x2A, 0, 0, 0, byte(wire.FamilyTheta), 0)
+	raw = append(raw, byte(wire.OpOpen), 0x2A, 0, 0, 0, byte(wire.FamilyTheta), 0)
 	if _, err := c.nc.Write(raw); err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ type Record struct {
 	ViewMaxAgeNs  int64
 	// HasPolicy records whether an autoscale controller was attached, with
 	// the four wire-travelling policy knobs (the rest are production
-	// defaults on restore, exactly as on the OpAutoscale path).
+	// defaults on restore, exactly as on the OpOpen autoscale section).
 	HasPolicy            bool
 	MinShards, MaxShards uint32
 	HighWater, LowWater  float64

@@ -15,11 +15,12 @@ import (
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendPing(nil, 1))
 	f.Add(AppendNamesReq(nil, 2))
-	f.Add(AppendCreate(nil, 3, FamilyTheta, "users"))
+	f.Add(AppendOpen(nil, 3, FamilyTheta, "users", &Open{}))
 	f.Add(AppendDrop(nil, 4, FamilyHLL, "x"))
 	f.Add(AppendInfo(nil, 5, FamilyCountMin, "api.calls"))
-	f.Add(AppendResize(nil, 6, FamilyQuantiles, "lat", 8))
-	f.Add(AppendAutoscale(nil, 7, "users", 2, 16, 250e3, 50e3))
+	f.Add(AppendOpen(nil, 6, FamilyQuantiles, "lat", &Open{HasShards: true, Shards: 8}))
+	f.Add(AppendOpen(nil, 7, FamilyAny, "users", &Open{HasAutoscale: true,
+		MinShards: 2, MaxShards: 16, HighWater: 250e3, LowWater: 50e3}))
 	f.Add(AppendBatch(nil, 8, FamilyTheta, "users", []uint64{1, 2, 3}))
 	f.Add(AppendBatch(nil, 9, FamilyQuantiles, "lat", []uint64{math.Float64bits(0.5)}))
 	f.Add(AppendQuery(nil, 10, FamilyTheta, QueryEstimate, "users", 0))
@@ -30,6 +31,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendError(nil, 15, "boom"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3})
+	f.Add(AppendOpen(nil, 16, FamilyCountMin, "api.calls", &Open{
+		HasShards: true, Shards: 4,
+		HasView: true, ViewRefreshNs: 1e7, ViewMaxAgeNs: -1,
+		HasWindow: true, WindowIntervalNs: 6e10, WindowSlots: 12, WindowDecay: 0.5,
+		HasAutoscale: true, MinShards: 1, MaxShards: 8, HighWater: 1e6, LowWater: 1e4,
+	}))
+	f.Add(AppendOpen(nil, 17, FamilyAny, "w", &Open{HasWindow: true, WindowIntervalNs: 1e9}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
@@ -42,8 +50,20 @@ func FuzzFrameDecode(f *testing.F) {
 			if req, err := ParseRequest(payload); err == nil {
 				// Anything the parser accepts must be within protocol
 				// bounds: the server indexes items and names directly.
-				if len(req.Name) == 0 && req.Op != OpPing && req.Op != OpNames {
-					t.Fatalf("accepted request with empty name: %+v", req)
+				switch req.Op {
+				case OpPing, OpNames, OpCheckpoint, OpOpsStats:
+				default:
+					if len(req.Name) == 0 {
+						t.Fatalf("accepted request with empty name: %+v", req)
+					}
+				}
+				// An accepted OpOpen re-encodes to the same bytes: the
+				// section mask and the sections are one canonical form.
+				if req.Op == OpOpen {
+					re := AppendOpen(nil, req.ID, req.Family, string(req.Name), &req.Open)
+					if !bytes.Equal(re[4:], payload) {
+						t.Fatalf("OpOpen re-encodes differently: %x vs %x", re[4:], payload)
+					}
 				}
 				if req.NumItems() > MaxBatchItems {
 					t.Fatalf("accepted %d items > MaxBatchItems", req.NumItems())

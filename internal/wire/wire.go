@@ -25,24 +25,28 @@
 //
 // # Ops
 //
-//	OpPing       liveness probe                          → empty
-//	OpBatch      batched ingest: many items, one frame   → uint32 ack count
-//	OpQuery      merged query (see Query kinds)          → 8-byte result
-//	OpCreate     create the named sketch                 → empty
-//	OpResize     live-reshard the named sketch           → empty
-//	OpAutoscale  attach an autoscaling controller        → empty
-//	OpDrop       close and remove the named sketch       → empty
-//	OpNames      enumerate registered sketches           → name list
-//	OpInfo       metadata for the named sketch           → Info
-//	OpEnableView   materialize the named sketch's merged view  → empty
-//	OpDisableView  drop the named sketch's merged view         → empty
-//	OpSnapshot     export the named sketch's merged state      → portable snapshot record
-//	OpRestore      fold a portable snapshot into the named sketch  → empty
-//	OpMergeRemote  pull a sketch from another daemon and fold it   → empty
-//	OpCheckpoint   write the server's checkpoint file now          → empty
-//	OpOpsStats     lifecycle sweeper / memory-budget counters      → OpsStats
-//	OpEnableWindow   declare a sliding window on the named sketches  → empty
+//	OpPing           liveness probe                                  → empty
+//	OpBatch          batched ingest: many items, one frame           → uint32 ack count
+//	OpQuery          merged query (see Query kinds)                  → 8-byte result
+//	OpOpen           declare a sketch's configuration (see Open)     → empty
+//	OpDrop           close and remove the named sketch               → empty
+//	OpNames          enumerate registered sketches                   → name list
+//	OpInfo           metadata for the named sketch                   → Info
+//	OpDisableView    drop the named sketches' merged views           → empty
 //	OpDisableWindow  collapse the named sketches' windows            → empty
+//	OpSnapshot       export the named sketch's merged state          → portable snapshot record
+//	OpRestore        fold a portable snapshot into the named sketch  → empty
+//	OpMergeRemote    pull a sketch from another daemon and fold it   → empty
+//	OpCheckpoint     write the server's checkpoint file now          → empty
+//	OpOpsStats       lifecycle sweeper / memory-budget counters      → OpsStats
+//
+// OpOpen is the one configuration op: the wire form of fastsketches.Spec.
+// Its body is a family, a name, and a section mask followed by the declared
+// sections (shards, view, window, autoscale), each with Spec's rules — an
+// absent section leaves that setting alone, a declared one replaces it.
+// With a concrete family it creates the sketch on first use; with
+// FamilyAny it applies to every sketch registered under the name and
+// creates nothing. Codes 4, 5, 6, 10 and 17 are retired and fail as ErrBadOp.
 //
 // Batch items are fixed 8-byte words: uint64 keys for Θ/HLL/Count-Min,
 // IEEE-754 bits (math.Float64bits) for quantiles values. Fixed-size items
@@ -87,8 +91,8 @@ const (
 	// MaxBatchItems is the largest item count one OpBatch frame can carry
 	// within MaxFrame (header, family, name, count prefix accounted).
 	MaxBatchItems = (MaxFrame - headerLen - 2 - MaxName - 4) / ItemSize
-	// MaxShards bounds any shard count travelling on the wire (OpResize,
-	// OpAutoscale bounds). Far above any sane deployment, low enough that
+	// MaxShards bounds any shard count travelling on the wire (the OpOpen
+	// shards section and autoscale bounds). Far above any sane deployment, low enough that
 	// one malicious frame cannot make the server build billions of shard
 	// frameworks; receivers reject values outside [1, MaxShards].
 	MaxShards = 4096
@@ -106,36 +110,34 @@ const (
 // Op identifies a request's operation.
 type Op uint8
 
-// The request operations.
+// The request operations. Codes are fixed: the retired configure ops
+// (4–6, 10, 17), folded into OpOpen, stay unassigned.
 const (
-	OpPing Op = iota + 1
-	OpBatch
-	OpQuery
-	OpCreate
-	OpResize
-	OpAutoscale
-	OpDrop
-	OpNames
-	OpInfo
-	OpEnableView
-	OpDisableView
-	OpSnapshot
-	OpRestore
-	OpMergeRemote
-	OpCheckpoint
-	OpOpsStats
-	OpEnableWindow
-	OpDisableWindow
-	opMax
+	OpPing          Op = 1
+	OpBatch         Op = 2
+	OpQuery         Op = 3
+	OpDrop          Op = 7
+	OpNames         Op = 8
+	OpInfo          Op = 9
+	OpDisableView   Op = 11
+	OpSnapshot      Op = 12
+	OpRestore       Op = 13
+	OpMergeRemote   Op = 14
+	OpCheckpoint    Op = 15
+	OpOpsStats      Op = 16
+	OpDisableWindow Op = 18
+	OpOpen          Op = 19
 )
 
 // Family identifies a sketch family on the wire. The string forms (used by
 // the registry's enumeration hooks) are produced by Family.String.
 type Family uint8
 
-// The sketch families.
+// The sketch families. FamilyAny addresses every family registered under a
+// name; only OpOpen accepts it.
 const (
-	FamilyTheta Family = iota + 1
+	FamilyAny   Family = 0
+	FamilyTheta Family = iota
 	FamilyHLL
 	FamilyQuantiles
 	FamilyCountMin
@@ -168,7 +170,8 @@ type Query uint8
 // last Slots closed intervals plus the live one) instead of the cumulative
 // stream, and DecayedCount over the Count-Min exponentially time-decayed
 // plane. They fail as typed errors when the named sketch has no window
-// declared (OpEnableWindow, Spec.Window, or the server's default window).
+// declared (an OpOpen window section, Spec.Window, or the server's default
+// window).
 const (
 	QueryEstimate Query = iota + 1
 	QueryQuantile
@@ -216,6 +219,7 @@ var (
 	ErrBadBlob       = errors.New("wire: blob length does not match payload")
 	ErrBadAddr       = errors.New("wire: bad remote address")
 	ErrBlobTooLarge  = errors.New("wire: snapshot blob exceeds frame budget")
+	ErrBadSections   = errors.New("wire: unknown OpOpen section")
 )
 
 // ValidName reports whether a sketch name fits the wire format (1..MaxName
@@ -298,12 +302,6 @@ func appendFamName(dst []byte, op Op, id uint32, fam Family, name string) ([]byt
 	return appendName(dst, name), m
 }
 
-// AppendCreate appends an OpCreate request frame.
-func AppendCreate(dst []byte, id uint32, fam Family, name string) []byte {
-	dst, m := appendFamName(dst, OpCreate, id, fam, name)
-	return endFrame(dst, m)
-}
-
 // AppendDrop appends an OpDrop request frame.
 func AppendDrop(dst []byte, id uint32, fam Family, name string) []byte {
 	dst, m := appendFamName(dst, OpDrop, id, fam, name)
@@ -316,38 +314,75 @@ func AppendInfo(dst []byte, id uint32, fam Family, name string) []byte {
 	return endFrame(dst, m)
 }
 
-// AppendResize appends an OpResize request frame.
-func AppendResize(dst []byte, id uint32, fam Family, name string, shards int) []byte {
-	dst, m := appendFamName(dst, OpResize, id, fam, name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(shards))
-	return endFrame(dst, m)
+// Open is the body of an OpOpen request: the wire form of
+// fastsketches.Spec's configuration sections. A section travels only when
+// its Has flag is set; an absent section leaves that setting untouched.
+// Durations travel as nanoseconds. The autoscale section carries the
+// policy's four load-bearing knobs; the server fills the remaining policy
+// fields with production defaults.
+type Open struct {
+	HasShards bool
+	Shards    uint32
+
+	// ViewRefreshNs is the refresh interval (0 = server default);
+	// ViewMaxAgeNs the maximum served view age before queries fall back to
+	// the live fold (0 = derived from the refresh interval, negative =
+	// never expire).
+	HasView       bool
+	ViewRefreshNs int64
+	ViewMaxAgeNs  int64
+
+	// WindowIntervalNs is the rotation interval, WindowSlots the
+	// closed-interval capacity, WindowDecay the Count-Min decay factor in
+	// [0,1) (0 = none); zero interval or slots take the window defaults.
+	HasWindow        bool
+	WindowIntervalNs int64
+	WindowSlots      uint32
+	WindowDecay      float64
+
+	HasAutoscale         bool
+	MinShards, MaxShards uint32
+	HighWater, LowWater  float64
 }
 
-// AppendAutoscale appends an OpAutoscale request frame. The policy travels
-// as its four load-bearing knobs (shard bounds and water marks); the server
-// fills the remaining policy fields with production defaults.
-func AppendAutoscale(dst []byte, id uint32, name string, minShards, maxShards int, high, low float64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpAutoscale), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(minShards))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(maxShards))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(high))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(low))
-	return endFrame(dst, m)
-}
+// The OpOpen section mask bits, in body order.
+const (
+	sectionShards = 1 << iota
+	sectionView
+	sectionWindow
+	sectionAutoscale
+	sectionAll = 1<<iota - 1
+)
 
-// AppendEnableView appends an OpEnableView request frame: materialize the
-// merged view of every sketch registered under name. refreshNs is the
-// refresh interval in nanoseconds (0 = server default); maxAgeNs is the
-// maximum served view age in nanoseconds before queries fall back to the
-// live fold (0 = server default, derived from the refresh interval).
-func AppendEnableView(dst []byte, id uint32, name string, refreshNs, maxAgeNs uint64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpEnableView), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint64(dst, refreshNs)
-	dst = binary.LittleEndian.AppendUint64(dst, maxAgeNs)
+// AppendOpen appends an OpOpen request frame declaring o on the named
+// sketch of family fam (FamilyAny: every sketch registered under name).
+func AppendOpen(dst []byte, id uint32, fam Family, name string, o *Open) []byte {
+	dst, m := appendFamName(dst, OpOpen, id, fam, name)
+	var mask byte
+	for i, has := range [...]bool{o.HasShards, o.HasView, o.HasWindow, o.HasAutoscale} {
+		if has {
+			mask |= 1 << i
+		}
+	}
+	dst = append(dst, mask)
+	if o.HasShards {
+		dst = binary.LittleEndian.AppendUint32(dst, o.Shards)
+	}
+	if o.HasView {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(o.ViewRefreshNs))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(o.ViewMaxAgeNs))
+	}
+	if o.HasWindow {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(o.WindowIntervalNs))
+		dst = binary.LittleEndian.AppendUint32(dst, o.WindowSlots)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.WindowDecay))
+	}
+	if o.HasAutoscale {
+		dst = binary.LittleEndian.AppendUint32(dst, o.MinShards)
+		dst = binary.LittleEndian.AppendUint32(dst, o.MaxShards)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.HighWater))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.LowWater))
+	}
 	return endFrame(dst, m)
 }
 
@@ -356,22 +391,6 @@ func AppendDisableView(dst []byte, id uint32, name string) []byte {
 	dst, m := beginFrame(dst)
 	dst = appendHeader(dst, byte(OpDisableView), id)
 	return endFrame(appendName(dst, name), m)
-}
-
-// AppendEnableWindow appends an OpEnableWindow request frame: declare a
-// sliding window on every sketch registered under name. intervalNs is the
-// rotation interval in nanoseconds (required, > 0); slots the closed-interval
-// capacity (0 = server default); decay the Count-Min exponential decay factor
-// in [0,1) (0 = none; rejected by the server for families without a linearly
-// scalable state).
-func AppendEnableWindow(dst []byte, id uint32, name string, intervalNs uint64, slots uint32, decay float64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpEnableWindow), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint64(dst, intervalNs)
-	dst = binary.LittleEndian.AppendUint32(dst, slots)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(decay))
-	return endFrame(dst, m)
 }
 
 // AppendDisableWindow appends an OpDisableWindow request frame: collapse the
@@ -639,20 +658,11 @@ type Request struct {
 	Family Family
 	Query  Query
 	Name   []byte
-	// Arg is the op-specific scalar: the resize shard count, the query
-	// argument (float bits / key) for kinds with NeedsArg, the EnableView
-	// refresh interval in nanoseconds, or the EnableWindow rotation
-	// interval in nanoseconds.
+	// Arg is the query argument (float bits / key) for kinds with NeedsArg.
 	Arg uint64
-	// Arg2 is the second op-specific scalar: the EnableView maximum view
-	// age in nanoseconds, or the EnableWindow decay factor bits.
-	Arg2 uint64
-	// Slots is the OpEnableWindow closed-interval capacity (0 = default).
-	Slots uint32
-	// MinShards/MaxShards/High/Low are the OpAutoscale policy knobs.
-	MinShards, MaxShards uint32
-	High, Low            float64
-	Items                []byte
+	// Open is the OpOpen body.
+	Open  Open
+	Items []byte
 	// Blob is the OpRestore snapshot payload (a view into the parse buffer,
 	// like Name and Items).
 	Blob []byte
@@ -752,6 +762,35 @@ func (c *cursor) family() Family {
 	return f
 }
 
+// open reads an OpOpen body after the name: the section mask and the
+// sections it declares.
+func (c *cursor) open() Open {
+	var o Open
+	mask := c.u8()
+	if c.err == nil && mask&^sectionAll != 0 {
+		c.err = ErrBadSections
+	}
+	if o.HasShards = mask&sectionShards != 0; o.HasShards {
+		o.Shards = c.u32()
+	}
+	if o.HasView = mask&sectionView != 0; o.HasView {
+		o.ViewRefreshNs = int64(c.u64())
+		o.ViewMaxAgeNs = int64(c.u64())
+	}
+	if o.HasWindow = mask&sectionWindow != 0; o.HasWindow {
+		o.WindowIntervalNs = int64(c.u64())
+		o.WindowSlots = c.u32()
+		o.WindowDecay = math.Float64frombits(c.u64())
+	}
+	if o.HasAutoscale = mask&sectionAutoscale != 0; o.HasAutoscale {
+		o.MinShards = c.u32()
+		o.MaxShards = c.u32()
+		o.HighWater = math.Float64frombits(c.u64())
+		o.LowWater = math.Float64frombits(c.u64())
+	}
+	return o
+}
+
 func (c *cursor) done() error {
 	if c.err != nil {
 		return c.err
@@ -772,16 +811,19 @@ func ParseRequest(p []byte) (Request, error) {
 	}
 	req.Op = Op(p[0])
 	req.ID = binary.LittleEndian.Uint32(p[1:5])
-	if req.Op < OpPing || req.Op >= opMax {
-		return req, ErrBadOp
-	}
 	c := cursor{b: p[headerLen:]}
 	switch req.Op {
 	case OpPing, OpNames, OpCheckpoint, OpOpsStats:
 		// empty body
-	case OpCreate, OpDrop, OpInfo, OpSnapshot:
+	case OpDrop, OpInfo, OpSnapshot:
 		req.Family = c.family()
 		req.Name = c.name()
+	case OpOpen:
+		if req.Family = Family(c.u8()); c.err == nil && req.Family >= familyMax {
+			return req, ErrBadFamily
+		}
+		req.Name = c.name()
+		req.Open = c.open()
 	case OpRestore:
 		req.Family = c.family()
 		req.Name = c.name()
@@ -804,27 +846,8 @@ func ParseRequest(p []byte) (Request, error) {
 			req.Addr = c.b
 			c.b = nil
 		}
-	case OpResize:
-		req.Family = c.family()
-		req.Name = c.name()
-		req.Arg = uint64(c.u32())
-	case OpAutoscale:
-		req.Name = c.name()
-		req.MinShards = c.u32()
-		req.MaxShards = c.u32()
-		req.High = math.Float64frombits(c.u64())
-		req.Low = math.Float64frombits(c.u64())
-	case OpEnableView:
-		req.Name = c.name()
-		req.Arg = c.u64()
-		req.Arg2 = c.u64()
 	case OpDisableView, OpDisableWindow:
 		req.Name = c.name()
-	case OpEnableWindow:
-		req.Name = c.name()
-		req.Arg = c.u64()
-		req.Slots = c.u32()
-		req.Arg2 = c.u64()
 	case OpBatch:
 		req.Family = c.family()
 		req.Name = c.name()
@@ -846,6 +869,8 @@ func ParseRequest(p []byte) (Request, error) {
 		if NeedsArg(req.Query) {
 			req.Arg = c.u64()
 		}
+	default:
+		return req, ErrBadOp
 	}
 	return req, c.done()
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -30,14 +31,15 @@ func TestRequestRoundTrip(t *testing.T) {
 	}{
 		{"ping", func() []byte { return AppendPing(nil, 7) }, Request{Op: OpPing, ID: 7}},
 		{"names", func() []byte { return AppendNamesReq(nil, 9) }, Request{Op: OpNames, ID: 9}},
-		{"create", func() []byte { return AppendCreate(nil, 1, FamilyTheta, "users") },
-			Request{Op: OpCreate, ID: 1, Family: FamilyTheta, Name: []byte("users")}},
+		{"create", func() []byte { return AppendOpen(nil, 1, FamilyTheta, "users", &Open{}) },
+			Request{Op: OpOpen, ID: 1, Family: FamilyTheta, Name: []byte("users")}},
 		{"drop", func() []byte { return AppendDrop(nil, 2, FamilyCountMin, "api.calls") },
 			Request{Op: OpDrop, ID: 2, Family: FamilyCountMin, Name: []byte("api.calls")}},
 		{"info", func() []byte { return AppendInfo(nil, 3, FamilyHLL, "x") },
 			Request{Op: OpInfo, ID: 3, Family: FamilyHLL, Name: []byte("x")}},
-		{"resize", func() []byte { return AppendResize(nil, 4, FamilyQuantiles, "lat", 8) },
-			Request{Op: OpResize, ID: 4, Family: FamilyQuantiles, Name: []byte("lat"), Arg: 8}},
+		{"resize", func() []byte { return AppendOpen(nil, 4, FamilyQuantiles, "lat", &Open{HasShards: true, Shards: 8}) },
+			Request{Op: OpOpen, ID: 4, Family: FamilyQuantiles, Name: []byte("lat"),
+				Open: Open{HasShards: true, Shards: 8}}},
 		{"query-estimate", func() []byte { return AppendQuery(nil, 5, FamilyTheta, QueryEstimate, "users", 0) },
 			Request{Op: OpQuery, ID: 5, Family: FamilyTheta, Query: QueryEstimate, Name: []byte("users")}},
 		{"query-quantile", func() []byte {
@@ -55,7 +57,7 @@ func TestRequestRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Op != tc.want.Op || got.ID != tc.want.ID || got.Family != tc.want.Family ||
-				got.Query != tc.want.Query || got.Arg != tc.want.Arg ||
+				got.Query != tc.want.Query || got.Arg != tc.want.Arg || got.Open != tc.want.Open ||
 				!bytes.Equal(got.Name, tc.want.Name) {
 				t.Fatalf("got %+v, want %+v", got, tc.want)
 			}
@@ -84,13 +86,13 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestAutoscaleRoundTrip(t *testing.T) {
-	b := AppendAutoscale(nil, 12, "users", 2, 16, 250e3, 50e3)
+	want := Open{HasAutoscale: true, MinShards: 2, MaxShards: 16, HighWater: 250e3, LowWater: 50e3}
+	b := AppendOpen(nil, 12, FamilyAny, "users", &want)
 	req, err := ParseRequest(frame(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpAutoscale || string(req.Name) != "users" ||
-		req.MinShards != 2 || req.MaxShards != 16 || req.High != 250e3 || req.Low != 50e3 {
+	if req.Op != OpOpen || req.Family != FamilyAny || string(req.Name) != "users" || req.Open != want {
 		t.Fatalf("bad autoscale request: %+v", req)
 	}
 }
@@ -151,8 +153,9 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 			b[headerLen+1] = 0x7f
 			return b
 		}()},
-		{"zero-name", []byte{byte(OpCreate), 0, 0, 0, 0, byte(FamilyTheta), 0}},
-		{"truncated-name", []byte{byte(OpCreate), 0, 0, 0, 0, byte(FamilyTheta), 5, 'a', 'b'}},
+		{"zero-name", []byte{byte(OpDrop), 0, 0, 0, 0, byte(FamilyTheta), 0}},
+		{"truncated-name", []byte{byte(OpDrop), 0, 0, 0, 0, byte(FamilyTheta), 5, 'a', 'b'}},
+		{"open-unknown-section", []byte{byte(OpOpen), 0, 0, 0, 0, byte(FamilyTheta), 1, 'u', 1 << 4}},
 		{"query-missing-arg", AppendQuery(nil, 1, FamilyQuantiles, QueryQuantile, "u", 1)[4 : 4+headerLen+2+2]},
 		{"query-trailing", append(append([]byte(nil), valid...), 1, 2, 3)},
 		{"batch-count-mismatch", func() []byte {
@@ -273,81 +276,136 @@ func TestAppendOKNamesBounded(t *testing.T) {
 }
 
 func TestViewOpsRoundTrip(t *testing.T) {
-	// EnableView carries two nanosecond scalars; a negative maxAge (never
-	// expire) must survive the uint64 transit bit-exactly.
-	neverExpire := ^uint64(0) // int64(-1) in transit
-	b := AppendEnableView(nil, 31, "users", 50_000_000, neverExpire)
-	req, err := ParseRequest(frame(t, b))
+	// The view section carries two nanosecond scalars; a negative maxAge
+	// (never expire) must survive the transit bit-exactly.
+	want := Open{HasView: true, ViewRefreshNs: 50_000_000, ViewMaxAgeNs: -1}
+	req, err := ParseRequest(frame(t, AppendOpen(nil, 31, FamilyAny, "users", &want)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpEnableView || req.ID != 31 || string(req.Name) != "users" ||
-		req.Arg != 50_000_000 || req.Arg2 != neverExpire {
-		t.Fatalf("bad enable-view request: %+v", req)
-	}
-	if int64(req.Arg2) != -1 {
-		t.Fatalf("maxAge sign lost in transit: %d", int64(req.Arg2))
+	if req.Op != OpOpen || req.ID != 31 || string(req.Name) != "users" || req.Open != want {
+		t.Fatalf("bad view request: %+v", req)
 	}
 
-	b = AppendDisableView(nil, 32, "users")
-	req, err = ParseRequest(frame(t, b))
+	req, err = ParseRequest(frame(t, AppendDisableView(nil, 32, "users")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Op != OpDisableView || req.ID != 32 || string(req.Name) != "users" {
 		t.Fatalf("bad disable-view request: %+v", req)
 	}
-
-	// Truncated enable-view bodies are rejected, id preserved.
-	full := AppendEnableView(nil, 33, "u", 1, 2)[4:]
-	for cut := len(full) - 1; cut >= headerLen; cut-- {
-		req, err := ParseRequest(full[:cut])
-		if err == nil {
-			t.Fatalf("truncated enable-view at %d bytes accepted", cut)
-		}
-		if req.ID != 33 {
-			t.Fatalf("truncated enable-view lost id: %d", req.ID)
-		}
-	}
 }
 
 func TestWindowOpsRoundTrip(t *testing.T) {
-	// EnableWindow carries the rotation interval, the ring capacity and the
-	// decay factor; the float64 decay must survive its bits transit exactly.
-	b := AppendEnableWindow(nil, 41, "users", 30_000_000_000, 12, 0.875)
-	req, err := ParseRequest(frame(t, b))
+	// The window section carries the rotation interval, the ring capacity
+	// and the decay factor; the float64 decay must survive its bits transit
+	// exactly.
+	want := Open{HasWindow: true, WindowIntervalNs: 30_000_000_000, WindowSlots: 12, WindowDecay: 0.875}
+	req, err := ParseRequest(frame(t, AppendOpen(nil, 41, FamilyAny, "users", &want)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpEnableWindow || req.ID != 41 || string(req.Name) != "users" ||
-		req.Arg != 30_000_000_000 || req.Slots != 12 ||
-		math.Float64frombits(req.Arg2) != 0.875 {
-		t.Fatalf("bad enable-window request: %+v", req)
+	if req.Op != OpOpen || req.ID != 41 || string(req.Name) != "users" || req.Open != want {
+		t.Fatalf("bad window request: %+v", req)
 	}
 
-	b = AppendDisableWindow(nil, 42, "users")
-	req, err = ParseRequest(frame(t, b))
+	req, err = ParseRequest(frame(t, AppendDisableWindow(nil, 42, "users")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Op != OpDisableWindow || req.ID != 42 || string(req.Name) != "users" {
 		t.Fatalf("bad disable-window request: %+v", req)
 	}
+}
 
-	// Truncated enable-window bodies are rejected at every cut, id preserved.
-	full := AppendEnableWindow(nil, 43, "u", 1, 2, 0.5)[4:]
-	for cut := len(full) - 1; cut >= headerLen; cut-- {
-		req, err := ParseRequest(full[:cut])
-		if err == nil {
-			t.Fatalf("truncated enable-window at %d bytes accepted", cut)
-		}
-		if req.ID != 43 {
-			t.Fatalf("truncated enable-window lost id: %d", req.ID)
+// allSections returns an Open declaring the sections of mask (bit i: shards,
+// view, window, autoscale) with distinct non-zero values.
+func allSections(mask int) Open {
+	var o Open
+	if mask&1 != 0 {
+		o.HasShards, o.Shards = true, 7
+	}
+	if mask&2 != 0 {
+		o.HasView, o.ViewRefreshNs, o.ViewMaxAgeNs = true, 20_000_000, -1
+	}
+	if mask&4 != 0 {
+		o.HasWindow, o.WindowIntervalNs, o.WindowSlots, o.WindowDecay = true, 60_000_000_000, 6, 0.5
+	}
+	if mask&8 != 0 {
+		o.HasAutoscale, o.MinShards, o.MaxShards, o.HighWater, o.LowWater = true, 1, 32, 1e6, 1e4
+	}
+	return o
+}
+
+// TestOpenRoundTrip: every combination of OpOpen sections round-trips
+// exactly, with FamilyAny and with each family.
+func TestOpenRoundTrip(t *testing.T) {
+	for fam := FamilyAny; fam < familyMax; fam++ {
+		for mask := 0; mask < 16; mask++ {
+			want := allSections(mask)
+			req, err := ParseRequest(frame(t, AppendOpen(nil, uint32(mask), fam, "s", &want)))
+			if err != nil {
+				t.Fatalf("family %v sections %04b: %v", fam, mask, err)
+			}
+			if req.Op != OpOpen || req.ID != uint32(mask) || req.Family != fam ||
+				string(req.Name) != "s" || req.Open != want {
+				t.Fatalf("family %v sections %04b: got %+v, want %+v", fam, mask, req, want)
+			}
 		}
 	}
-	// Trailing bytes are rejected too — the body must be consumed exactly.
-	if _, err := ParseRequest(append(append([]byte(nil), full...), 0xCC)); err == nil {
-		t.Fatal("enable-window with trailing byte accepted")
+}
+
+// TestOpenTruncated: an OpOpen frame cut at any byte prefix is a typed
+// error that keeps the request id, and a trailing byte is rejected too.
+func TestOpenTruncated(t *testing.T) {
+	for mask := 0; mask < 16; mask++ {
+		o := allSections(mask)
+		full := AppendOpen(nil, 43, FamilyCountMin, "u", &o)[4:]
+		for cut := len(full) - 1; cut >= headerLen; cut-- {
+			req, err := ParseRequest(full[:cut])
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("sections %04b cut at %d: err = %v, want ErrTruncated", mask, cut, err)
+			}
+			if req.ID != 43 {
+				t.Fatalf("sections %04b cut at %d: lost id: %d", mask, cut, req.ID)
+			}
+		}
+		if _, err := ParseRequest(append(append([]byte(nil), full...), 0xCC)); !errors.Is(err, ErrTrailing) {
+			t.Fatalf("sections %04b with trailing byte: err = %v, want ErrTrailing", mask, err)
+		}
+	}
+}
+
+// TestFamilyAnyOnlyOnOpen: every op that names a family other than OpOpen
+// rejects FamilyAny.
+func TestFamilyAnyOnlyOnOpen(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"drop":     AppendDrop(nil, 1, FamilyAny, "x"),
+		"info":     AppendInfo(nil, 1, FamilyAny, "x"),
+		"snapshot": AppendSnapshotReq(nil, 1, FamilyAny, "x"),
+		"restore":  AppendRestore(nil, 1, FamilyAny, "x", []byte{1}),
+		"merge":    AppendMergeRemote(nil, 1, FamilyAny, "x", "h:1"),
+		"batch":    AppendBatch(nil, 1, FamilyAny, "x", []uint64{1}),
+		"query":    AppendQuery(nil, 1, FamilyAny, QueryEstimate, "x", 0),
+	} {
+		if _, err := ParseRequest(frame(t, b)); !errors.Is(err, ErrBadFamily) {
+			t.Errorf("%s with FamilyAny: err = %v, want ErrBadFamily", name, err)
+		}
+	}
+	o := Open{}
+	if _, err := ParseRequest(frame(t, AppendOpen(nil, 1, familyMax, "x", &o))); !errors.Is(err, ErrBadFamily) {
+		t.Errorf("open with unknown family: err = %v, want ErrBadFamily", err)
+	}
+}
+
+// TestRetiredOpsRejected: the configure opcodes OpOpen replaced (create,
+// resize, autoscale, enable-view, enable-window) are unknown ops now.
+func TestRetiredOpsRejected(t *testing.T) {
+	for _, op := range []byte{4, 5, 6, 10, 17} {
+		req, err := ParseRequest([]byte{op, 9, 0, 0, 0, byte(FamilyTheta), 1, 'x'})
+		if !errors.Is(err, ErrBadOp) || req.ID != 9 {
+			t.Errorf("retired op %d: id %d, err = %v, want ErrBadOp", op, req.ID, err)
+		}
 	}
 }
 

@@ -71,10 +71,10 @@ func TestMergedQueryZeroAllocThroughView(t *testing.T) {
 		cm.Update(0, uint64(i%512))
 	}
 	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
-	if n, err := reg.ReplaceView("viewed", fastsketches.ViewConfig{
+	if n, err := reg.Apply("", "viewed", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	}); err != nil || n != 4 {
-		t.Fatalf("ReplaceView = %d, %v; want all 4 families covered", n, err)
+	}}); err != nil || n != 4 {
+		t.Fatalf("Apply(View) = %d, %v; want all 4 families covered", n, err)
 	}
 
 	var sinkF float64

@@ -165,8 +165,8 @@ func (c *RegistryConfig) defaultWindow(decayable bool) (shard.WindowConfig, bool
 }
 
 // Registry is a multi-tenant collection of named sharded sketches: the
-// service-facing facade over the concurrent framework. Each name maps to an
-// independent sharded sketch created on first use:
+// service-facing facade over the concurrent framework. Each (family, name)
+// pair maps to an independent sharded sketch created on first use:
 //
 //	reg, _ := fastsketches.NewRegistry(fastsketches.RegistryConfig{
 //		Shards: 8, Writers: 4,
@@ -189,25 +189,19 @@ func (c *RegistryConfig) defaultWindow(decayable bool) (shard.WindowConfig, bool
 // register array, a quantiles.Accumulator, a Count-Min counter grid), so
 // Estimate/Quantile/Rank/N reset a pooled accumulator and fold the S shard
 // snapshots into it instead of allocating per query. Callers that prefer to
-// own the accumulator — e.g. one per reader goroutine — use the per-family
-// QueryInto methods (or NewAccumulator/QueryInto on the sketch itself).
+// own the accumulator — e.g. one per reader goroutine — use the handle's
+// QueryInto (or NewAccumulator/QueryInto on the sketch itself).
+//
+// Configuration is declarative: Open* and Apply take a Spec, and every
+// configuration change — from a handle, the wire, a checkpoint restore or
+// the ops layer — runs through one apply path (see Apply).
 type Registry struct {
 	cfg    RegistryConfig
 	mu     sync.RWMutex
 	closed bool
-	thetas map[string]*shard.Theta
-	hlls   map[string]*shard.HLL
-	quants map[string]*shard.Quantiles
-	cms    map[string]*shard.CountMin
-	// controllers are the autoscaling loops attached via Autoscale /
-	// AutoscaleAll, each remembered with its resize target so Drop can stop
-	// the loops of a dropped sketch; Close stops them before stopping any
-	// propagator, so a controller can never resize a closing sketch.
-	controllers []registryController
-	// lifecycles records the per-sketch lifecycle declared through
-	// Open*/Spec (idle TTL, pinning), keyed "family/name" — read by the ops
-	// layer's eviction and budget sweeps via Infos.
-	lifecycles map[string]lifecycleSpec
+	// sketches is the one sketch map: every registered sketch, keyed by
+	// family and name, owns its lifecycle and autoscale controller.
+	sketches map[key]*entry
 	// memPressure is the memory-budget signal installed by
 	// SetAutoscaleMemoryPressure, propagated to every attached controller.
 	memPressure func() bool
@@ -222,11 +216,48 @@ type Registry struct {
 	ckptBuf     []byte
 }
 
-// registryController pairs an attached controller with the sketch it
-// drives.
-type registryController struct {
-	ctl    *autoscale.Controller
-	target autoscale.Target
+// families lists the registry's family strings in enumeration order.
+var families = [...]string{"theta", "hll", "quantiles", "countmin"}
+
+// key identifies one registered sketch.
+type key struct{ family, name string }
+
+// entry is one registered sketch together with everything declared on it.
+// sk and key never change; idleTTL, pinned and ctl are guarded by r.mu and
+// written only while the entry is registered, so nothing declared on a
+// dropped sketch can outlive it or leak into a sketch recreated under its
+// name.
+type entry struct {
+	key
+	sk      sharded
+	idleTTL time.Duration
+	pinned  bool
+	// ctl is the entry's autoscale controller, nil when none is attached.
+	ctl *autoscale.Controller
+}
+
+// sharded is the family-agnostic surface of a sharded sketch the registry
+// drives; all four family wrappers of the shard package satisfy it.
+type sharded interface {
+	autoscale.Target
+	Relaxation() int
+	Eager() bool
+	SizeBytes() int64
+	EnableView(shard.ViewConfig) error
+	DisableView() bool
+	ViewEnabled() bool
+	ViewLag() time.Duration
+	ViewSettings() (shard.ViewConfig, bool)
+	EnableWindow(shard.WindowConfig) error
+	DisableWindow() bool
+	WindowSettings() (shard.WindowConfig, bool)
+	WindowStats() (shard.WindowInfo, bool)
+	WindowDecaySupported() bool
+	RestoreWindow(shard.WindowConfig, [][]byte, []byte) error
+	AppendSnapshot([]byte) []byte
+	AppendWindowedSnapshot([]byte) ([]byte, [][]byte, []byte)
+	ImportSnapshot([]byte) error
+	Close()
 }
 
 // NewRegistry validates the configuration and returns an empty registry.
@@ -234,132 +265,219 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
-	return &Registry{
-		cfg:        cfg,
-		thetas:     make(map[string]*shard.Theta),
-		hlls:       make(map[string]*shard.HLL),
-		quants:     make(map[string]*shard.Quantiles),
-		cms:        make(map[string]*shard.CountMin),
-		lifecycles: make(map[string]lifecycleSpec),
-	}, nil
+	return &Registry{cfg: cfg, sketches: make(map[key]*entry)}, nil
 }
 
-// getOrCreate returns m[name], creating it with mk on first use. The read
-// path is a shared-lock map hit; creation takes the exclusive lock.
-func getOrCreate[T any](r *Registry, m map[string]T, name string, mk func() T) T {
+const errUseAfterClose = "fastsketches: Registry used after Close"
+
+// newSketch builds a fresh sketch of the family under the registry's
+// configuration, with the registry-wide default window if one is declared.
+func (r *Registry) newSketch(family string) (sharded, error) {
+	var sk sharded
+	var err error
+	cfg := r.cfg.shardConfig()
+	switch family {
+	case "theta":
+		sk, err = shard.NewTheta(r.cfg.ThetaLgK, cfg)
+	case "hll":
+		sk, err = shard.NewHLL(r.cfg.HLLPrecision, cfg)
+	case "quantiles":
+		sk, err = shard.NewQuantiles(r.cfg.QuantilesK, cfg)
+	case "countmin":
+		sk, err = shard.NewCountMin(r.cfg.CountMinEpsilon, r.cfg.CountMinDelta, cfg)
+	default:
+		return nil, fmt.Errorf("%w: unknown family %q", ErrConfig, family)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if wc, ok := r.cfg.defaultWindow(sk.WindowDecaySupported()); ok {
+		if err := sk.EnableWindow(wc); err != nil {
+			sk.Close()
+			return nil, err
+		}
+	}
+	return sk, nil
+}
+
+// entryFor returns the registered entry of (family, name), creating the
+// sketch on first use. The hit path is a shared-lock map read; creation
+// takes the exclusive lock. A closed registry panics: it must not hand out
+// sketches whose propagators are stopped (an Update on one would block
+// forever), though handles obtained before Close stay queryable.
+func (r *Registry) entryFor(family, name string) (*entry, error) {
+	k := key{family, name}
 	r.mu.RLock()
-	sk, ok := m[name]
+	e, ok := r.sketches[k]
 	closed := r.closed
 	r.mu.RUnlock()
 	if closed {
-		// A sketch handle obtained before Close stays queryable, but the
-		// registry itself must not hand out sketches whose propagators are
-		// stopped: an Update on one would block forever.
-		panic("fastsketches: Registry used after Close")
+		panic(errUseAfterClose)
 	}
 	if ok {
-		return sk
+		return e, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		panic("fastsketches: Registry used after Close")
+		panic(errUseAfterClose)
 	}
-	if sk, ok = m[name]; !ok {
-		sk = mk()
-		m[name] = sk
+	if e, ok = r.sketches[k]; !ok {
+		sk, err := r.newSketch(family)
+		if err != nil {
+			return nil, err
+		}
+		e = &entry{key: k, sk: sk}
+		r.sketches[k] = e
 	}
-	return sk
+	return e, nil
 }
 
-// getTheta returns the named sharded distinct-count sketch, creating it on
-// first use — the internal accessor behind OpenTheta and the deprecated
-// Theta facade. Configuration errors are impossible here: the registry
-// config was validated by NewRegistry.
-func (r *Registry) getTheta(name string) *shard.Theta {
-	return getOrCreate(r, r.thetas, name, func() *shard.Theta {
-		sk, err := shard.NewTheta(r.cfg.ThetaLgK, r.cfg.shardConfig())
-		if err != nil {
-			panic(err) // unreachable: config pre-validated
-		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err) // unreachable: config pre-validated
-			}
-		}
-		return sk
-	})
+// open is the body of every Open*: find or create the entry, then apply
+// spec to it.
+func (r *Registry) open(family, name string, spec Spec) (*entry, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	e, err := r.entryFor(family, name)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.apply(e, spec); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// getHLL returns the named sharded HLL sketch, creating it on first use.
-func (r *Registry) getHLL(name string) *shard.HLL {
-	return getOrCreate(r, r.hlls, name, func() *shard.HLL {
-		sk, err := shard.NewHLL(r.cfg.HLLPrecision, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
-		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
-}
-
-// getQuantiles returns the named sharded quantiles sketch, creating it on
-// first use.
-func (r *Registry) getQuantiles(name string) *shard.Quantiles {
-	return getOrCreate(r, r.quants, name, func() *shard.Quantiles {
-		sk, err := shard.NewQuantiles(r.cfg.QuantilesK, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
-		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
-}
-
-// getCountMin returns the named sharded frequency sketch, creating it on
-// first use.
-func (r *Registry) getCountMin(name string) *shard.CountMin {
-	return getOrCreate(r, r.cms, name, func() *shard.CountMin {
-		sk, err := shard.NewCountMin(r.cfg.CountMinEpsilon, r.cfg.CountMinDelta, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
-		}
-		if wc, ok := r.cfg.defaultWindow(true); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
-}
-
-// ResizeSketch live-reshards the named sketch of the given family (one of
-// "theta", "hll", "quantiles", "countmin") without creating it on a miss —
-// the by-family admin resize serving and ops layers use. It returns
-// ErrConfig when no such sketch is registered; otherwise it carries exactly
-// the Resize semantics documented on ResizeTheta.
-func (r *Registry) ResizeSketch(family, name string, shards int) error {
+// entries returns the registered entries under name: the one of family, or
+// with family "" every family's. It panics after Close.
+func (r *Registry) entries(family, name string) []*entry {
 	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
-	closed := r.closed
-	r.mu.RUnlock()
-	if closed {
-		panic("fastsketches: Registry used after Close")
+	defer r.mu.RUnlock()
+	if r.closed {
+		panic(errUseAfterClose)
 	}
-	if !ok {
-		return fmt.Errorf("%w: no %s sketch %q to resize", ErrConfig, family, name)
+	fams := families[:]
+	if family != "" {
+		fams = []string{family}
 	}
-	// Resize outside r.mu: the drain can take a writer-grace period, and
-	// holding the registry lock across it would stall Open/Drop/Infos.
-	return sk.(interface{ Resize(int) error }).Resize(shards)
+	var out []*entry
+	for _, fam := range fams {
+		if e, ok := r.sketches[key{fam, name}]; ok {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Apply applies spec to already-registered sketches and reports how many it
+// covered: the sketch of the given family ("theta", "hll", "quantiles",
+// "countmin"), or with family "" every sketch registered under name across
+// all four families. Apply never creates a sketch — it fails with ErrConfig
+// when none matches — which is what makes it the admin path serving and ops
+// layers use to resize, re-view, re-window or re-autoscale live sketches.
+//
+// Spec's declarative rules hold per sketch: an absent (zero or nil) section
+// leaves that setting alone, a declared view is re-armed, a declared window
+// replaces a differing one and keeps an equal one's ring, and a declared
+// autoscale policy replaces the sketch's controller. Spanning all families,
+// a window's Decay is dropped for families without linearly scalable
+// counters (mirroring RegistryConfig.WindowDecay) instead of failing; a
+// family-specific Apply rejects it, like Open*. Like every registry
+// accessor, Apply panics after Close.
+func (r *Registry) Apply(family, name string, spec Spec) (int, error) {
+	if err := spec.validate(); err != nil {
+		return 0, err
+	}
+	es := r.entries(family, name)
+	if len(es) == 0 {
+		return 0, fmt.Errorf("%w: no registered sketch %q to apply to", ErrConfig, name)
+	}
+	for _, e := range es {
+		s := spec
+		if family == "" && s.Window != nil && s.Window.Decay > 0 && !e.sk.WindowDecaySupported() {
+			w := *s.Window
+			w.Decay = 0
+			s.Window = &w
+		}
+		if err := r.apply(e, s); err != nil {
+			return 0, err
+		}
+	}
+	return len(es), nil
+}
+
+// apply is the one configuration path: Open*, Apply, checkpoint restore
+// and the handle's Autoscale all end here. Resize, view and window changes
+// run outside the registry lock (each serialises on the sketch's own
+// resize lock, and a resize drain can take a writer-grace period); they
+// fail on a sketch closed by a concurrent Drop. The entry-owned state — the
+// controller and the lifecycle — is written under r.mu, and only while e is
+// still registered, so an apply racing Drop can neither leave a controller
+// running against the closed sketch nor leak its lifecycle into the next
+// sketch opened under the name. The controller is built first, so an
+// invalid policy fails before any other section takes effect.
+func (r *Registry) apply(e *entry, spec Spec) error {
+	var ctl *autoscale.Controller
+	if spec.Autoscale != nil {
+		var err error
+		if ctl, err = autoscale.New(e.sk, *spec.Autoscale); err != nil {
+			return err
+		}
+	}
+	if spec.Shards > 0 && e.sk.Shards() != spec.Shards {
+		if err := e.sk.Resize(spec.Shards); err != nil {
+			return err
+		}
+	}
+	if spec.View != nil {
+		e.sk.DisableView()
+		if err := e.sk.EnableView(*spec.View); err != nil {
+			return err
+		}
+	}
+	if spec.Window != nil {
+		want, err := spec.Window.Normalise()
+		if err != nil {
+			return err
+		}
+		// Equal declaration → no-op, so routinely reopening a windowed
+		// sketch never discards its ring of closed intervals; only a changed
+		// config re-arms (collapse into the cumulative plane, fresh ring).
+		if cur, ok := e.sk.WindowSettings(); !ok || !cur.Same(want) {
+			e.sk.DisableWindow()
+			if err := e.sk.EnableWindow(*spec.Window); err != nil {
+				return err
+			}
+		}
+	}
+	lifecycle := spec.IdleTTL != 0 || spec.Pinned
+	if ctl == nil && !lifecycle {
+		return nil
+	}
+	r.mu.Lock()
+	if r.closed || r.sketches[e.key] != e {
+		r.mu.Unlock()
+		return fmt.Errorf("%w: %s sketch %q was dropped or its registry closed", ErrConfig, e.family, e.name)
+	}
+	var old *autoscale.Controller
+	if ctl != nil {
+		if r.memPressure != nil {
+			ctl.SetMemoryPressure(r.memPressure)
+		}
+		// Started under r.mu: a Drop that unregisters e afterwards finds
+		// the running controller and stops it.
+		ctl.Start()
+		old, e.ctl = e.ctl, ctl
+	}
+	if lifecycle {
+		e.idleTTL, e.pinned = spec.IdleTTL, spec.Pinned
+	}
+	r.mu.Unlock()
+	if old != nil {
+		old.Stop()
+	}
+	return nil
 }
 
 // ViewConfig configures a materialized merged view — see shard.ViewConfig:
@@ -381,183 +499,62 @@ type WindowInfo = shard.WindowInfo
 // structurally, autoscale controllers).
 type Clock = shard.Clock
 
-// viewSketch is the slice of the Sharded layer the view facades drive; all
-// four family wrappers satisfy it.
-type viewSketch interface {
-	EnableView(shard.ViewConfig) error
-	DisableView() bool
-	ViewEnabled() bool
-}
-
-// viewTargetsLocked collects every sketch registered under name across all
-// families. Caller holds r.mu.
-func (r *Registry) viewTargetsLocked(name string) []viewSketch {
-	var targets []viewSketch
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets = append(targets, sk.(viewSketch))
-		}
-	}
-	return targets
-}
-
-// ReplaceView materializes the merged state of every sketch currently
-// registered under name, across all four families: a background refresher
-// per sketch re-folds all shard snapshots every cfg.RefreshEvery and
-// publishes the result atomically, after which the per-family queries
-// (Estimate, Quantile, Rank, N, QueryInto) transparently fold the single
-// published view — O(1) in the shard count — instead of S shard snapshots.
-// The staleness bound of those queries widens from S·r to S·r plus one
-// refresh interval; per-key CountMin estimates keep reading their owning
-// shard directly and are unaffected. Returns how many sketches gained a
-// view.
-//
-// Only sketches that already exist are covered. The call is idempotent per
-// sketch: a sketch whose view is already enabled is re-armed under the new
-// config (its old refresher is stopped first) — the replace-not-stack
-// semantics remote admin planes need, mirroring ReplaceAutoscale. Views are
-// disabled automatically when their sketch is dropped or the registry
-// closes; like every registry accessor, ReplaceView panics after Close.
-func (r *Registry) ReplaceView(name string, cfg ViewConfig) (int, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.viewTargetsLocked(name)
-	r.mu.Unlock()
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("%w: no registered sketches to view", ErrConfig)
-	}
-	// Enabling outside r.mu: EnableView serialises on each sketch's resize
-	// lock, which an in-flight autoscale Resize may hold for a drain.
-	for _, sk := range targets {
-		sk.DisableView()
-		if err := sk.EnableView(cfg); err != nil {
-			return 0, err
-		}
-	}
-	return len(targets), nil
-}
-
 // StopView stops the view refresher of every sketch registered under
 // name, across all families, and reports how many views were disabled.
 // Subsequent merged queries fold live shard snapshots again (bound back to
-// S·r). It mirrors StopAutoscale, completing the non-deprecated
-// name-spanning admin surface (the wire protocol addresses views by name
-// only, with no family discriminator).
+// S·r). Spec has no "clear", so disabling stays a call of its own.
 func (r *Registry) StopView(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.viewTargetsLocked(name)
-	r.mu.Unlock()
 	n := 0
-	for _, sk := range targets {
-		if sk.DisableView() {
+	for _, e := range r.entries("", name) {
+		if e.sk.DisableView() {
 			n++
 		}
 	}
 	return n
-}
-
-// windowSketch is the slice of the Sharded layer the window facades drive;
-// all four family wrappers satisfy it.
-type windowSketch interface {
-	EnableWindow(shard.WindowConfig) error
-	DisableWindow() bool
-	WindowEnabled() bool
-	WindowSettings() (shard.WindowConfig, bool)
-	WindowDecaySupported() bool
-}
-
-// windowTargetsLocked collects every sketch registered under name across all
-// families. Caller holds r.mu.
-func (r *Registry) windowTargetsLocked(name string) []windowSketch {
-	var targets []windowSketch
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets = append(targets, sk.(windowSketch))
-		}
-	}
-	return targets
-}
-
-// ReplaceWindow declares a sliding window on every sketch currently
-// registered under name, across all four families: each sketch's queries
-// gain a windowed plane (WindowQueryInto and the per-family Window* scalars)
-// covering the live rotation interval plus the last cfg.Slots closed
-// intervals, while the cumulative plane keeps serving the whole stream. A
-// windowed query reflects all but at most S·r of the window's updates plus
-// whatever the live interval has accumulated past one rotation interval —
-// see shard.Sharded.EnableWindow for the bound's derivation.
-//
-// The call is idempotent per sketch with replace semantics, mirroring
-// ReplaceView: a sketch already windowed under an equal config keeps its
-// ring (no history loss); a different config collapses the old window into
-// the cumulative plane and re-arms a fresh one. Returns how many sketches
-// the window was applied to. Windows stop automatically when their sketch
-// is dropped or the registry closes.
-func (r *Registry) ReplaceWindow(name string, cfg WindowConfig) (int, error) {
-	want, err := cfg.Normalise()
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.windowTargetsLocked(name)
-	r.mu.Unlock()
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("%w: no registered sketches to window", ErrConfig)
-	}
-	// Enabling outside r.mu: EnableWindow serialises on each sketch's resize
-	// lock, which an in-flight autoscale Resize may hold for a drain.
-	for _, sk := range targets {
-		// Decay needs linearly scalable counters; for families without them
-		// the same window is applied sans decay, mirroring
-		// RegistryConfig.WindowDecay. The Same comparison uses the stripped
-		// config too, so repeated calls stay idempotent per family.
-		cfgSk, wantSk := cfg, want
-		if want.Decay > 0 && !sk.WindowDecaySupported() {
-			cfgSk.Decay, wantSk.Decay = 0, 0
-		}
-		if cur, ok := sk.WindowSettings(); ok && cur.Same(wantSk) {
-			continue // equal config: keep the ring
-		}
-		sk.DisableWindow()
-		if err := sk.EnableWindow(cfgSk); err != nil {
-			return 0, err
-		}
-	}
-	return len(targets), nil
 }
 
 // StopWindow disables the sliding window of every sketch registered under
 // name, across all families, and reports how many windows were stopped.
 // Each window's closed slots are collapsed into the sketch's cumulative
 // plane first, so no counted update is lost; subsequent queries serve the
-// cumulative stream only. It mirrors StopView, completing the name-spanning
-// admin surface the wire protocol drives.
+// cumulative stream only.
 func (r *Registry) StopWindow(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.windowTargetsLocked(name)
-	r.mu.Unlock()
 	n := 0
-	for _, sk := range targets {
-		if sk.DisableWindow() {
+	for _, e := range r.entries("", name) {
+		if e.sk.DisableWindow() {
 			n++
 		}
 	}
 	return n
+}
+
+// StopAutoscale stops and detaches the autoscale controller of every
+// sketch registered under name, across all families, and reports how many
+// were stopped.
+func (r *Registry) StopAutoscale(name string) int {
+	return r.stopAutoscale(r.entries("", name))
+}
+
+// stopAutoscale detaches the controllers of es under r.mu and stops them
+// outside it (Stop waits for an in-flight tick, which may be mid-resize).
+func (r *Registry) stopAutoscale(es []*entry) int {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		panic(errUseAfterClose)
+	}
+	var stop []*autoscale.Controller
+	for _, e := range es {
+		if e.ctl != nil {
+			stop = append(stop, e.ctl)
+			e.ctl = nil
+		}
+	}
+	r.mu.Unlock()
+	for _, ctl := range stop {
+		ctl.Stop()
+	}
+	return len(stop)
 }
 
 // SetAutoscaleMemoryPressure installs f as the memory-budget signal on
@@ -569,169 +566,29 @@ func (r *Registry) StopWindow(name string) int {
 // signal.
 func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.memPressure = f
-	ctls := make([]*autoscale.Controller, 0, len(r.controllers))
-	for _, rc := range r.controllers {
-		ctls = append(ctls, rc.ctl)
-	}
-	r.mu.Unlock()
-	for _, ctl := range ctls {
-		ctl.SetMemoryPressure(f)
+	for _, e := range r.sketches {
+		if e.ctl != nil {
+			e.ctl.SetMemoryPressure(f)
+		}
 	}
 }
 
 // AutoscaleStats returns a live counter snapshot of the autoscale
 // controller attached to the named sketch of the given family, reporting
-// ok=false when the sketch has no controller (or does not exist). When
-// several controllers drive one sketch (stacked via the deprecated
-// Autoscale), the first attached wins — the idempotent attach paths
-// (ReplaceAutoscale, Spec.Autoscale) guarantee at most one.
+// ok=false when the sketch has no controller (or does not exist).
 func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
 	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
 	var ctl *autoscale.Controller
-	if ok {
-		for _, rc := range r.controllers {
-			if any(rc.target) == any(sk) {
-				ctl = rc.ctl
-				break
-			}
-		}
+	if e, ok := r.sketches[key{family, name}]; ok {
+		ctl = e.ctl
 	}
 	r.mu.RUnlock()
 	if ctl == nil {
 		return autoscale.Stats{}, false
 	}
 	return ctl.Stats(), true
-}
-
-// detachControllersLocked removes from r.controllers every entry whose
-// target is registered under name (any family) and returns the detached
-// controllers. Caller holds r.mu; the caller owns stopping them.
-func (r *Registry) detachControllersLocked(name string) []registryController {
-	targets := make(map[any]bool, 4)
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets[any(sk)] = true
-		}
-	}
-	var detached []registryController
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if targets[any(rc.target)] {
-			detached = append(detached, rc)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
-	return detached
-}
-
-// StopAutoscale stops and detaches every autoscaling controller attached
-// to sketches currently registered under name, across all families, and
-// reports how many were stopped.
-func (r *Registry) StopAutoscale(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	stop := r.detachControllersLocked(name)
-	r.mu.Unlock()
-	for _, rc := range stop {
-		rc.ctl.Stop()
-	}
-	return len(stop)
-}
-
-// ReplaceAutoscale atomically swaps the autoscaling of name: under one
-// registry lock acquisition it detaches every controller attached to the
-// named sketches and attaches (and starts) fresh ones under the new
-// policy, so concurrent or retried calls can never leave two retained
-// controllers driving one sketch — the idempotent attach remote admin
-// planes need. The detached controllers are stopped after the swap; their
-// loops may overlap the new ones for that stop latency (harmless under the
-// policies' cooldowns), but exactly one controller per sketch remains. On
-// a policy validation error the previous controllers stay attached.
-func (r *Registry) ReplaceAutoscale(name string, p autoscale.Policy) ([]*autoscale.Controller, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	detached := r.detachControllersLocked(name)
-	ctls, err := r.autoscaleLocked(p, func(n string) bool { return n == name })
-	if err != nil {
-		// Nothing was stopped yet: restore the detached controllers.
-		r.controllers = append(r.controllers, detached...)
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.mu.Unlock()
-	for _, rc := range detached {
-		rc.ctl.Stop()
-	}
-	return ctls, nil
-}
-
-// autoscale collects the matching sketches as resize targets, builds one
-// started controller per target, and records them for Close.
-func (r *Registry) autoscale(p autoscale.Policy, match func(name string) bool) ([]*autoscale.Controller, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		panic("fastsketches: Registry used after Close")
-	}
-	return r.autoscaleLocked(p, match)
-}
-
-// autoscaleLocked is autoscale's body; the caller holds r.mu.
-func (r *Registry) autoscaleLocked(p autoscale.Policy, match func(name string) bool) ([]*autoscale.Controller, error) {
-	var targets []autoscale.Target
-	for n, sk := range r.thetas {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.hlls {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.quants {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.cms {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("%w: no registered sketches to autoscale", ErrConfig)
-	}
-	ctls := make([]*autoscale.Controller, 0, len(targets))
-	for _, tgt := range targets {
-		ctl, err := autoscale.New(tgt, p)
-		if err != nil {
-			return nil, err
-		}
-		if r.memPressure != nil {
-			ctl.SetMemoryPressure(r.memPressure)
-		}
-		ctls = append(ctls, ctl)
-		r.controllers = append(r.controllers, registryController{ctl, tgt})
-	}
-	// Start only after every policy validated, so a bad policy attaches
-	// nothing rather than half a fleet. (A partial validation failure above
-	// leaves the recorded-but-never-started entries harmless: Stop on a
-	// never-started controller is a no-op.)
-	for _, ctl := range ctls {
-		ctl.Start()
-	}
-	return ctls, nil
 }
 
 // Config returns a copy of the registry's normalised configuration — the
@@ -788,35 +645,16 @@ type SketchInfo struct {
 	Pinned  bool
 }
 
-// lifecycleSpec is the per-sketch lifecycle state declared through Spec.
-type lifecycleSpec struct {
+// infoEntry is the under-lock snapshot Infos takes: the identity, the
+// sketch, and the lifecycle. Everything else — every per-sketch
+// introspection call and the final sort — happens outside the registry
+// lock, so a slow enumeration (a /metrics scrape walking thousands of
+// sketches) can never stall Open/Drop.
+type infoEntry struct {
+	key
+	sk      sharded
 	idleTTL time.Duration
 	pinned  bool
-}
-
-// shardedIntrospect is the slice of the generic Sharded layer the metadata
-// hooks read; all four family wrappers satisfy it.
-type shardedIntrospect interface {
-	Shards() int
-	Relaxation() int
-	ShardRelaxation() int
-	Eager() bool
-	ViewEnabled() bool
-	ViewLag() time.Duration
-	WindowStats() (shard.WindowInfo, bool)
-	Pressure() core.PressureSample
-	SizeBytes() int64
-}
-
-// infoEntry is the under-lock snapshot Infos takes: the identity, the
-// sketch pointer, and the lifecycle record. Everything else — every
-// per-sketch introspection call and the final sort — happens outside the
-// registry lock, so a slow enumeration (a /metrics scrape walking thousands
-// of sketches) can never stall Open/Drop.
-type infoEntry struct {
-	family, name string
-	sk           shardedIntrospect
-	lc           lifecycleSpec
 }
 
 func (r *Registry) info(e infoEntry) SketchInfo {
@@ -833,8 +671,8 @@ func (r *Registry) info(e infoEntry) SketchInfo {
 		Merged:          pr.Merged,
 		Backlog:         pr.Backlog(),
 		SizeBytes:       e.sk.SizeBytes(),
-		IdleTTL:         e.lc.idleTTL,
-		Pinned:          e.lc.pinned,
+		IdleTTL:         e.idleTTL,
+		Pinned:          e.pinned,
 	}
 	// WindowStats is wait-free (one epoch load plus a clock read), keeping
 	// the rule that info() never takes a lock or folds sketch state — a
@@ -851,60 +689,25 @@ func (r *Registry) info(e infoEntry) SketchInfo {
 	return si
 }
 
-// lookup returns the named sketch of the given family without creating it.
-// The caller must hold r.mu (any mode).
-func (r *Registry) lookup(family, name string) (shardedIntrospect, bool) {
-	switch family {
-	case "theta":
-		sk, ok := r.thetas[name]
-		return sk, ok
-	case "hll":
-		sk, ok := r.hlls[name]
-		return sk, ok
-	case "quantiles":
-		sk, ok := r.quants[name]
-		return sk, ok
-	case "countmin":
-		sk, ok := r.cms[name]
-		return sk, ok
-	}
-	return nil, false
+// infoEntryLocked copies e's enumeration inputs. Caller holds r.mu.
+func infoEntryLocked(e *entry) infoEntry {
+	return infoEntry{e.key, e.sk, e.idleTTL, e.pinned}
 }
 
 // Info returns the named sketch's metadata without creating it. Family is
 // one of "theta", "hll", "quantiles", "countmin" (the prefixes Names uses).
 func (r *Registry) Info(family, name string) (SketchInfo, bool) {
 	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
-	lc := r.lifecycles[family+"/"+name]
+	e, ok := r.sketches[key{family, name}]
+	var ie infoEntry
+	if ok {
+		ie = infoEntryLocked(e)
+	}
 	r.mu.RUnlock()
 	if !ok {
 		return SketchInfo{}, false
 	}
-	return r.info(infoEntry{family, name, sk, lc}), true
-}
-
-// snapshotLocked appends one infoEntry per sketch of family fam to dst.
-// Caller holds r.mu (any mode).
-func snapshotLocked[S shardedIntrospect](r *Registry, dst []infoEntry, fam string, m map[string]S) []infoEntry {
-	for n, sk := range m {
-		dst = append(dst, infoEntry{fam, n, sk, r.lifecycles[fam+"/"+n]})
-	}
-	return dst
-}
-
-// snapshot collects the identity/pointer pairs of every registered sketch
-// under one brief RLock — the only part of an enumeration that needs the
-// registry lock at all.
-func (r *Registry) snapshot() []infoEntry {
-	r.mu.RLock()
-	entries := make([]infoEntry, 0, len(r.thetas)+len(r.hlls)+len(r.quants)+len(r.cms))
-	entries = snapshotLocked(r, entries, "theta", r.thetas)
-	entries = snapshotLocked(r, entries, "hll", r.hlls)
-	entries = snapshotLocked(r, entries, "quantiles", r.quants)
-	entries = snapshotLocked(r, entries, "countmin", r.cms)
-	r.mu.RUnlock()
-	return entries
+	return r.info(ie), true
 }
 
 // Infos returns every registered sketch's metadata, sorted by family then
@@ -916,7 +719,12 @@ func (r *Registry) snapshot() []infoEntry {
 // concurrently may still appear in the result — its counters summarise its
 // final drained state, the same staleness any enumeration has.
 func (r *Registry) Infos() []SketchInfo {
-	entries := r.snapshot()
+	r.mu.RLock()
+	entries := make([]infoEntry, 0, len(r.sketches))
+	for _, e := range r.sketches {
+		entries = append(entries, infoEntryLocked(e))
+	}
+	r.mu.RUnlock()
 	out := make([]SketchInfo, len(entries))
 	for i, e := range entries {
 		out[i] = r.info(e)
@@ -932,52 +740,35 @@ func (r *Registry) Infos() []SketchInfo {
 
 // Drop closes and removes the named sketch of the given family, reporting
 // whether it existed: its propagators stop (after an exact drain of every
-// buffer), any autoscaling controllers attached to it are stopped first,
-// and the name becomes free — the next accessor call under it creates a
-// fresh, empty sketch. Handles retained by callers stay queryable (merged
-// queries are wait-free and summarise the final drained state) but must not
-// be updated: an Update on a dropped sketch blocks forever, the same
-// contract as Close. Like every registry accessor it panics after Close.
+// buffer), its autoscale controller is stopped first, and the name becomes
+// free — the next accessor call under it creates a fresh, empty sketch with
+// no view, window, controller or lifecycle of its own. Handles retained by
+// callers stay queryable (merged queries are wait-free and summarise the
+// final drained state) but must not be updated: an Update on a dropped
+// sketch blocks forever, the same contract as Close. Like every registry
+// accessor it panics after Close.
 func (r *Registry) Drop(family, name string) bool {
+	k := key{family, name}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
+		panic(errUseAfterClose)
 	}
-	sk, ok := r.lookup(family, name)
+	e, ok := r.sketches[k]
 	if !ok {
 		r.mu.Unlock()
 		return false
 	}
-	switch family {
-	case "theta":
-		delete(r.thetas, name)
-	case "hll":
-		delete(r.hlls, name)
-	case "quantiles":
-		delete(r.quants, name)
-	case "countmin":
-		delete(r.cms, name)
-	}
-	delete(r.lifecycles, family+"/"+name)
-	// Stop this sketch's controllers before its propagators: a live
-	// controller mid-Tick could otherwise ask a closing sketch to resize.
-	var stop []*autoscale.Controller
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == any(sk) {
-			stop = append(stop, rc.ctl)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
+	delete(r.sketches, k)
+	ctl := e.ctl
+	e.ctl = nil
 	r.mu.Unlock()
-	for _, ctl := range stop {
+	// Stop the controller before the propagators: a live controller mid-Tick
+	// could otherwise ask a closing sketch to resize.
+	if ctl != nil {
 		ctl.Stop()
 	}
-	type closer interface{ Close() }
-	sk.(closer).Close()
+	e.sk.Close()
 	return true
 }
 
@@ -986,23 +777,14 @@ func (r *Registry) Drop(family, name string) bool {
 // concatenations and the sort happen outside it.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
-	keys := make([][2]string, 0, len(r.thetas)+len(r.hlls)+len(r.quants)+len(r.cms))
-	for n := range r.thetas {
-		keys = append(keys, [2]string{"theta", n})
-	}
-	for n := range r.hlls {
-		keys = append(keys, [2]string{"hll", n})
-	}
-	for n := range r.quants {
-		keys = append(keys, [2]string{"quantiles", n})
-	}
-	for n := range r.cms {
-		keys = append(keys, [2]string{"countmin", n})
+	keys := make([]key, 0, len(r.sketches))
+	for k := range r.sketches {
+		keys = append(keys, k)
 	}
 	r.mu.RUnlock()
 	out := make([]string, len(keys))
 	for i, k := range keys {
-		out[i] = k[0] + "/" + k[1]
+		out[i] = k.family + "/" + k.name
 	}
 	sort.Strings(out)
 	return out
@@ -1020,19 +802,12 @@ func (r *Registry) Close() {
 	r.closed = true
 	// Controllers first: a stopped controller issues no further resizes, so
 	// no propagator can be asked to drain mid-shutdown.
-	for _, rc := range r.controllers {
-		rc.ctl.Stop()
+	for _, e := range r.sketches {
+		if e.ctl != nil {
+			e.ctl.Stop()
+		}
 	}
-	for _, sk := range r.thetas {
-		sk.Close()
-	}
-	for _, sk := range r.hlls {
-		sk.Close()
-	}
-	for _, sk := range r.quants {
-		sk.Close()
-	}
-	for _, sk := range r.cms {
-		sk.Close()
+	for _, e := range r.sketches {
+		e.sk.Close()
 	}
 }

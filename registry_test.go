@@ -406,9 +406,9 @@ func TestRegistryDrop(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sk.Update(0, uint64(i%10))
 	}
-	ctls, err := reg.ReplaceAutoscale("api", autoscale.Policy{HighWater: 1e6, SampleEvery: time.Millisecond})
-	if err != nil || len(ctls) != 1 {
-		t.Fatalf("ReplaceAutoscale: ctls=%d err=%v", len(ctls), err)
+	n, err := reg.Apply("", "api", fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e6, SampleEvery: time.Millisecond}})
+	if err != nil || n != 1 {
+		t.Fatalf("Apply(Autoscale): n=%d err=%v", n, err)
 	}
 
 	if !reg.Drop("countmin", "api") {
@@ -458,11 +458,11 @@ func TestRegistryStopAutoscale(t *testing.T) {
 	openTheta(t, reg, "a")
 	openCountMin(t, reg, "a")
 	openTheta(t, reg, "b")
-	pol := autoscale.Policy{HighWater: 1e9, SampleEvery: time.Millisecond}
-	if _, err := reg.ReplaceAutoscale("a", pol); err != nil {
+	pol := &autoscale.Policy{HighWater: 1e9, SampleEvery: time.Millisecond}
+	if _, err := reg.Apply("", "a", fastsketches.Spec{Autoscale: pol}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ReplaceAutoscale("b", pol); err != nil {
+	if _, err := reg.Apply("", "b", fastsketches.Spec{Autoscale: pol}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -474,13 +474,13 @@ func TestRegistryStopAutoscale(t *testing.T) {
 	}
 	// b's controller is untouched; atomic replace cycles keep exactly one.
 	for i := 0; i < 3; i++ {
-		if _, err := reg.ReplaceAutoscale("b", pol); err != nil {
+		if _, err := reg.Apply("", "b", fastsketches.Spec{Autoscale: pol}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// An invalid policy must leave the previous controller attached.
-	if _, err := reg.ReplaceAutoscale("b", autoscale.Policy{}); err == nil {
-		t.Fatal("ReplaceAutoscale accepted an invalid policy")
+	if _, err := reg.Apply("", "b", fastsketches.Spec{Autoscale: &autoscale.Policy{}}); err == nil {
+		t.Fatal("Apply accepted an invalid policy")
 	}
 	if n := reg.StopAutoscale("b"); n != 1 {
 		t.Fatalf("after replace cycles, StopAutoscale(b) stopped %d, want 1", n)

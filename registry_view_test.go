@@ -26,8 +26,8 @@ func TestRegistryViewFacades(t *testing.T) {
 	defer reg.Close()
 
 	// No sketches under the name yet: error, nothing enabled.
-	if _, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{}); err == nil {
-		t.Fatal("ReplaceView on absent name should error")
+	if _, err := reg.Apply("", "metrics", fastsketches.Spec{View: &fastsketches.ViewConfig{}}); err == nil {
+		t.Fatal("Apply(View) on absent name should error")
 	}
 
 	th := openTheta(t, reg, "metrics").Sketch()
@@ -39,11 +39,11 @@ func TestRegistryViewFacades(t *testing.T) {
 	}
 
 	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
-	n, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{
+	n, err := reg.Apply("", "metrics", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	})
+	}})
 	if err != nil || n != 2 {
-		t.Fatalf("ReplaceView = %d, %v; want 2 sketches covered", n, err)
+		t.Fatalf("Apply(View) = %d, %v; want 2 sketches covered", n, err)
 	}
 	inf, ok := reg.Info("theta", "metrics")
 	if !ok || !inf.ViewEnabled {
@@ -62,10 +62,10 @@ func TestRegistryViewFacades(t *testing.T) {
 	}
 
 	// Re-enabling re-arms idempotently; disabling reports the pair.
-	if n, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{
+	if n, err := reg.Apply("", "metrics", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	}); err != nil || n != 2 {
-		t.Fatalf("re-ReplaceView = %d, %v", n, err)
+	}}); err != nil || n != 2 {
+		t.Fatalf("re-Apply(View) = %d, %v", n, err)
 	}
 	if n := reg.StopView("metrics"); n != 2 {
 		t.Fatalf("StopView = %d, want 2", n)
@@ -86,7 +86,7 @@ func TestRegistryViewPanicsAfterClose(t *testing.T) {
 	openTheta(t, reg, "x")
 	reg.Close()
 	for name, f := range map[string]func(){
-		"ReplaceView": func() { reg.ReplaceView("x", fastsketches.ViewConfig{}) },
+		"Apply(View)": func() { reg.Apply("", "x", fastsketches.Spec{View: &fastsketches.ViewConfig{}}) },
 		"StopView":    func() { reg.StopView("x") },
 	} {
 		func() {
@@ -129,16 +129,16 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		cm := openCountMin(t, reg, "fire").Sketch()
-		if _, err := reg.ReplaceAutoscale("fire", autoscale.Policy{
+		if _, err := reg.Apply("", "fire", fastsketches.Spec{Autoscale: &autoscale.Policy{
 			MinShards: 1, MaxShards: 4,
 			HighWater: 1, LowWater: 0.5, // trigger-happy: resizes constantly
 			SampleEvery: 200 * time.Microsecond,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reg.ReplaceView("fire", fastsketches.ViewConfig{
+		if _, err := reg.Apply("", "fire", fastsketches.Spec{View: &fastsketches.ViewConfig{
 			RefreshEvery: 200 * time.Microsecond,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -180,8 +180,8 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 	settleToBaseline(t, base)
 }
 
-// TestRegistryDropRacesReplaceView races ReplaceView/StopView against Drop
-// of the same name: every interleaving must end with zero view refreshers
+// TestRegistryDropRacesReplaceView races a view-declaring Apply against
+// Drop of the same name: every interleaving must end with zero view refreshers
 // alive, no panic, and the registry reusable for a fresh sketch under the
 // same name.
 func TestRegistryDropRacesReplaceView(t *testing.T) {
@@ -198,7 +198,7 @@ func TestRegistryDropRacesReplaceView(t *testing.T) {
 			defer wg.Done()
 			// May hit the sketch before or after Drop closed it; both must
 			// be clean (an error from a closed sketch is fine, a panic not).
-			reg.ReplaceView("raced", fastsketches.ViewConfig{RefreshEvery: 100 * time.Microsecond})
+			reg.Apply("", "raced", fastsketches.Spec{View: &fastsketches.ViewConfig{RefreshEvery: 100 * time.Microsecond}})
 		}()
 		go func() {
 			defer wg.Done()
@@ -212,6 +212,46 @@ func TestRegistryDropRacesReplaceView(t *testing.T) {
 		fresh := openTheta(t, reg, "raced").Sketch()
 		fresh.Update(0, 1)
 		reg.Close()
+	}
+	settleToBaseline(t, base)
+}
+
+// TestOpenRacesDrop races a declaring Open against Drop of the same name.
+// Whatever the interleaving, nothing the Open declared may outlive the
+// sketch it was declared on: no autoscale controller keeps running against
+// the dropped sketch, and a sketch recreated under the name starts unpinned
+// with no controller. The Open itself may fail when it loses the race.
+func TestOpenRacesDrop(t *testing.T) {
+	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	pol := autoscale.Policy{HighWater: 1e9, SampleEvery: time.Hour}
+	spec := fastsketches.Spec{Shards: 3, Autoscale: &pol, Pinned: true}
+	base := runtime.NumGoroutine()
+	for round := 0; round < 300; round++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			reg.OpenTheta("raced", spec)
+		}()
+		go func() {
+			defer wg.Done()
+			reg.Drop("theta", "raced")
+		}()
+		wg.Wait()
+		reg.Drop("theta", "raced") // retire whichever incarnation survived
+
+		h := openTheta(t, reg, "raced")
+		if inf, _ := h.Info(); inf.Pinned {
+			t.Fatalf("round %d: recreated sketch inherited Pinned", round)
+		}
+		if _, ok := h.AutoscaleStats(); ok {
+			t.Fatalf("round %d: recreated sketch inherited a controller", round)
+		}
+		h.Drop()
 	}
 	settleToBaseline(t, base)
 }

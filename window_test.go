@@ -1,7 +1,7 @@
 package fastsketches_test
 
 // Registry-level windowing: the declarative Spec.Window surface, the
-// name-spanning ReplaceWindow/StopWindow admin plane, the registry-wide
+// name-spanning Apply/StopWindow admin plane, the registry-wide
 // default window, windowed checkpoint round-trips, and the rotation-vs-
 // resize-vs-checkpoint chaos run (exercised under -race in CI).
 
@@ -131,7 +131,7 @@ func TestSpecWindowRejectsBadConfig(t *testing.T) {
 	}
 	// Decay on a family without scalable counters is a per-sketch error on
 	// the typed path (the caller named one family explicitly — no silent
-	// stripping, unlike the name-spanning ReplaceWindow).
+	// stripping, unlike the name-spanning Apply).
 	if _, err := reg.OpenTheta("w.bad", fastsketches.Spec{
 		Window: &fastsketches.WindowConfig{Interval: time.Second, Decay: 0.5},
 	}); err == nil {
@@ -161,7 +161,7 @@ func TestRegistryConfigDefaultWindow(t *testing.T) {
 	}
 }
 
-func TestReplaceWindowAndStopWindow(t *testing.T) {
+func TestApplyWindowAndStopWindow(t *testing.T) {
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
 		Shards: 2, Writers: 2, MaxError: 1,
 	})
@@ -173,14 +173,21 @@ func TestReplaceWindowAndStopWindow(t *testing.T) {
 	th := openTheta(t, reg, "multi")
 	cm := openCountMin(t, reg, "multi")
 
-	if _, err := reg.ReplaceWindow("absent", fastsketches.WindowConfig{Interval: time.Hour}); err == nil {
-		t.Error("ReplaceWindow on an unregistered name succeeded")
+	if _, err := reg.Apply("", "absent", fastsketches.Spec{Window: &fastsketches.WindowConfig{Interval: time.Hour}}); err == nil {
+		t.Error("Apply(Window) on an unregistered name succeeded")
+	}
+	// A family-specific Apply is the typed path: Decay on a family without
+	// scalable counters is rejected there, not stripped.
+	if _, err := reg.Apply("theta", "multi", fastsketches.Spec{
+		Window: &fastsketches.WindowConfig{Interval: time.Hour, Decay: 0.5},
+	}); err == nil {
+		t.Error("family Apply accepted decay on theta")
 	}
 
 	cfg := fastsketches.WindowConfig{Interval: time.Hour, Slots: 2, Decay: 0.5}
-	n, err := reg.ReplaceWindow("multi", cfg)
+	n, err := reg.Apply("", "multi", fastsketches.Spec{Window: &cfg})
 	if err != nil || n != 2 {
-		t.Fatalf("ReplaceWindow = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("Apply(Window) = (%d, %v), want (2, nil)", n, err)
 	}
 	// Decay is stripped for the families without scalable counters and kept
 	// for Count-Min — same window shape, per-family decay capability.
@@ -195,24 +202,24 @@ func TestReplaceWindowAndStopWindow(t *testing.T) {
 	// the same config, and the rings must survive on every family.
 	th.RotateNow()
 	cm.RotateNow()
-	if n, err := reg.ReplaceWindow("multi", cfg); err != nil || n != 2 {
-		t.Fatalf("repeat ReplaceWindow = (%d, %v)", n, err)
+	if n, err := reg.Apply("", "multi", fastsketches.Spec{Window: &cfg}); err != nil || n != 2 {
+		t.Fatalf("repeat Apply(Window) = (%d, %v)", n, err)
 	}
 	if st, ok := th.WindowStats(); !ok || st.Rotations != 1 {
-		t.Fatalf("repeat ReplaceWindow re-armed theta: stats (%+v, %v)", st, ok)
+		t.Fatalf("repeat Apply(Window) re-armed theta: stats (%+v, %v)", st, ok)
 	}
 	if st, ok := cm.WindowStats(); !ok || st.Rotations != 1 {
-		t.Fatalf("repeat ReplaceWindow re-armed countmin: stats (%+v, %v)", st, ok)
+		t.Fatalf("repeat Apply(Window) re-armed countmin: stats (%+v, %v)", st, ok)
 	}
 
 	// A changed shape re-arms everywhere.
-	if _, err := reg.ReplaceWindow("multi", fastsketches.WindowConfig{
+	if _, err := reg.Apply("", "multi", fastsketches.Spec{Window: &fastsketches.WindowConfig{
 		Interval: time.Hour, Slots: 4,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := cm.WindowStats(); st.Rotations != 0 {
-		t.Fatalf("changed ReplaceWindow kept countmin ring: %d rotations", st.Rotations)
+		t.Fatalf("changed Apply(Window) kept countmin ring: %d rotations", st.Rotations)
 	}
 
 	if n := reg.StopWindow("multi"); n != 2 {

@@ -12,11 +12,12 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 )
 
 // testPolicy returns an aggressive manual-clock policy: one qualifying
 // sample resizes, no cooldown.
-func testPolicy(mc *autoscale.ManualClock) *autoscale.Policy {
+func testPolicy(mc *clock.ManualClock) *autoscale.Policy {
 	return &autoscale.Policy{
 		MinShards: 1, MaxShards: 8,
 		HighWater: 1000, LowWater: 100,
@@ -43,7 +44,7 @@ func statsOf(t *testing.T, reg *fastsketches.Registry, family, name string) func
 // advanceTicks drives every controller through n full sampling periods,
 // synchronising on the manual clock's armed-timer count so no tick is lost
 // between a controller's wakeup and its re-arm.
-func advanceTicks(t *testing.T, mc *autoscale.ManualClock, n int, stats ...func() autoscale.Stats) {
+func advanceTicks(t *testing.T, mc *clock.ManualClock, n int, stats ...func() autoscale.Stats) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	base := make([]int64, len(stats))
@@ -75,7 +76,7 @@ func TestRegistryAutoscaleAttachesPerSketch(t *testing.T) {
 	openHLL(t, reg, "tenant-a")
 	openCountMin(t, reg, "tenant-b")
 
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManualClock(time.Unix(1_000_000, 0))
 	n, err := reg.Apply("", "tenant-a", fastsketches.Spec{Autoscale: testPolicy(mc)})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestRegistryAutoscaleAttachesPerSketch(t *testing.T) {
 
 func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1, MaxError: 1})
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManualClock(time.Unix(1_000_000, 0))
 	h, err := reg.OpenCountMin("api.calls", fastsketches.Spec{Autoscale: testPolicy(mc)})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestRegistryCloseStopsControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManualClock(time.Unix(1_000_000, 0))
 	if _, err := reg.OpenTheta("t", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/snapshot"
 	"fastsketches/internal/wire"
@@ -39,11 +39,9 @@ import (
 // under the registry lock and encoded outside it. The slice holding these is
 // reused across checkpoints.
 type checkpointEntry struct {
-	fam       snapshot.Family
-	name      string
-	sk        sharded
-	hasPolicy bool
-	policy    autoscale.Policy
+	fam  snapshot.Family
+	name string
+	sk   sharded
 }
 
 // AppendCheckpoint appends the registry's full checkpoint container to dst
@@ -68,11 +66,7 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	entries := r.ckptEntries[:0]
 	r.mu.RLock()
 	for _, e := range r.sketches {
-		ce := checkpointEntry{fam: familyCode(e.family), name: e.name, sk: e.sk}
-		if e.ctl != nil {
-			ce.hasPolicy, ce.policy = true, e.ctl.Policy()
-		}
-		entries = append(entries, ce)
+		entries = append(entries, checkpointEntry{fam: familyCode(e.family), name: e.name, sk: e.sk})
 	}
 	r.mu.RUnlock()
 	r.ckptEntries = entries
@@ -101,12 +95,12 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 			rec.ViewRefreshNs = int64(vc.RefreshEvery)
 			rec.ViewMaxAgeNs = int64(vc.MaxAge)
 		}
-		if e.hasPolicy {
+		if p, ok := e.sk.AutoscaleSettings(); ok {
 			rec.HasPolicy = true
-			rec.MinShards = uint32(e.policy.MinShards)
-			rec.MaxShards = uint32(e.policy.MaxShards)
-			rec.HighWater = e.policy.HighWater
-			rec.LowWater = e.policy.LowWater
+			rec.MinShards = uint32(p.MinShards)
+			rec.MaxShards = uint32(p.MaxShards)
+			rec.HighWater = p.HighWater
+			rec.LowWater = p.LowWater
 		}
 		if wc, ok := e.sk.WindowSettings(); ok {
 			// Windowed sketches serialise slot-by-slot: the base blob holds
@@ -306,7 +300,7 @@ func (r *Registry) RestoreFile(path string) error {
 
 // Checkpointer periodically writes the registry's checkpoint to a file —
 // the durability loop sketchd runs. Pacing goes through an injectable Clock
-// (autoscale.ManualClock satisfies it) so tests drive checkpoints
+// (a clock.ManualClock in tests) so tests drive checkpoints
 // deterministically; the zero Clock is the system clock.
 type Checkpointer struct {
 	reg   *Registry
@@ -320,32 +314,25 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer returns an unstarted periodic checkpointer writing to path
-// every `every` on clock (nil = system clock). onErr, if non-nil, receives
+// every `every` on clk (nil = system clock). onErr, if non-nil, receives
 // each failed checkpoint's error (the loop keeps running — a transient
 // full-disk must not kill durability forever).
-func NewCheckpointer(reg *Registry, path string, every time.Duration, clock Clock, onErr func(error)) (*Checkpointer, error) {
+func NewCheckpointer(reg *Registry, path string, every time.Duration, clk Clock, onErr func(error)) (*Checkpointer, error) {
 	if every <= 0 {
 		return nil, fmt.Errorf("%w: checkpoint interval must be > 0", ErrConfig)
 	}
 	if path == "" {
 		return nil, fmt.Errorf("%w: empty checkpoint path", ErrConfig)
 	}
-	if clock == nil {
-		clock = systemClock{}
+	if clk == nil {
+		clk = clock.SystemClock{}
 	}
 	return &Checkpointer{
-		reg: reg, path: path, every: every, clock: clock, onErr: onErr,
+		reg: reg, path: path, every: every, clock: clk, onErr: onErr,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}, nil
 }
-
-// systemClock is the production Clock of the root package (shard keeps its
-// own unexported one).
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Start launches the checkpoint loop. Call once.
 func (c *Checkpointer) Start() {

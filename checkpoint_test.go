@@ -14,6 +14,7 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/snapshot"
 	"fastsketches/internal/theta"
 )
@@ -403,7 +404,7 @@ func TestRestoreReplacesControllers(t *testing.T) {
 func TestCheckpointerManualClock(t *testing.T) {
 	reg := populated(t, 300)
 	path := filepath.Join(t.TempDir(), "tick.ckpt")
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManualClock(time.Unix(1_000_000, 0))
 	ck, err := fastsketches.NewCheckpointer(reg, path, time.Minute, mc,
 		func(err error) { t.Errorf("checkpoint error: %v", err) })
 	if err != nil {

@@ -143,9 +143,13 @@ func TestBatchRetainsItemsAcrossTransportFailure(t *testing.T) {
 	}
 
 	// Sever the pooled connection before Flush: the frame can never reach
-	// the server, so the failed Flush must retain all n items.
+	// the server, so the failed Flush must retain all n items. The proxy
+	// blackholes meanwhile: the client may notice the dead connection before
+	// Flush and redial, and that redial must die too.
+	p.blackhole.Store(true)
 	p.killAll()
 	ferr := b.Flush()
+	p.blackhole.Store(false)
 	if ferr == nil {
 		// The kill can race the OS buffers such that the write "succeeds"
 		// into a dead socket and the failure surfaces on the response read;

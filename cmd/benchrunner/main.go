@@ -68,6 +68,7 @@ import (
 	"fastsketches/internal/adversary"
 	"fastsketches/internal/autoscale"
 	"fastsketches/internal/benchfmt"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/harness"
 	"fastsketches/internal/mergedbench"
 	"fastsketches/internal/ops"
@@ -786,12 +787,10 @@ func autoscaleScenario(sc scale) {
 		// should always set it.
 		MaxTransitionalRelaxation: 16 * sk.ShardRelaxation(),
 	}
-	ctl, err := autoscale.New(sk, policy)
-	if err != nil {
+	if err := sk.EnableAutoscale(policy, nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ctl.Start()
 
 	var updates atomic.Int64
 	var light atomic.Bool
@@ -848,7 +847,7 @@ func autoscaleScenario(sc scale) {
 	}
 	close(stop)
 	wg.Wait()
-	ctl.Stop()
+	st, _ := sk.AutoscaleStats()
 	sk.Close()
 
 	// Per-epoch summary: consecutive windows at the same S are one epoch of
@@ -863,7 +862,6 @@ func autoscaleScenario(sc scale) {
 			sum/float64(j-i), samples[i].shards*sk.ShardRelaxation())
 		i = j
 	}
-	st := ctl.Stats()
 	fmt.Printf("# controller: %d samples, %d ups, %d downs, %d held-cooldown, %d at-bound, final S=%d\n",
 		st.Samples, st.ScaleUps, st.ScaleDowns, st.HeldCooldown, st.HeldAtBound, sk.Shards())
 	if burstUpdates < 0 {
@@ -1236,7 +1234,7 @@ func viewScenario(sc scale) {
 		}
 		// Writers are quiescent from here, so the live fold and the view
 		// measure the same stable state.
-		clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+		clk := clock.NewManualClock(time.Unix(1<<20, 0))
 		if err := sk.EnableView(shard.ViewConfig{
 			RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 		}); err != nil {
@@ -1337,7 +1335,7 @@ func windowScenario(sc scale) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+		clk := clock.NewManualClock(time.Unix(1<<20, 0))
 		if err := sk.EnableWindow(shard.WindowConfig{
 			Interval: time.Hour, Slots: slots, Decay: 0.5, Clock: clk,
 		}); err != nil {
@@ -1565,7 +1563,7 @@ func opsScenario(sc scale) {
 		os.Exit(1)
 	}
 
-	mc := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	mc := clock.NewManualClock(time.Unix(1<<20, 0))
 	mgr, err := ops.NewManager(reg, ops.Config{IdleTTL: time.Hour, MemBudget: 1 << 40, Clock: mc})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

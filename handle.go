@@ -63,9 +63,10 @@ type Spec struct {
 
 // Sketch is the uniform surface the generic Handle requires of a family's
 // sharded sketch: the lane-disciplined ingest plane, the zero-alloc merged
-// query plane, live resizing, introspection, and the materialized-view
-// switches. All four family wrappers of the shard package satisfy it
-// through the embedded generic Sharded layer; family-specific queries
+// and windowed query planes, live resizing, introspection, and the
+// view/window off-switches (Spec via Open* or Apply is the one way to
+// switch them on). All four family wrappers of the shard package satisfy
+// it through the embedded generic Sharded layer; family-specific queries
 // (Theta.Estimate, Quantiles.Quantile, CountMin.Estimate, UpdateString)
 // stay on the concrete type, reachable via Handle.Sketch.
 type Sketch[T any, A any] interface {
@@ -81,12 +82,10 @@ type Sketch[T any, A any] interface {
 	Eager() bool
 	Pressure() PressureSample
 	SizeBytes() int64
-	EnableView(ViewConfig) error
 	DisableView() bool
 	ViewEnabled() bool
 	ViewLag() time.Duration
 	RefreshViewNow() bool
-	EnableWindow(WindowConfig) error
 	DisableWindow() bool
 	WindowEnabled() bool
 	WindowSettings() (WindowConfig, bool)
@@ -240,11 +239,6 @@ func (h *Handle[T, A, S]) Pressure() PressureSample { return h.sk.Pressure() }
 // the memory-budget accountant sums (see shard.Sharded.SizeBytes).
 func (h *Handle[T, A, S]) SizeBytes() int64 { return h.sk.SizeBytes() }
 
-// EnableView materializes the sketch's merged view under cfg; merged
-// queries then fold one published accumulator — O(1) in S — at staleness
-// S·r plus one refresh interval.
-func (h *Handle[T, A, S]) EnableView(cfg ViewConfig) error { return h.sk.EnableView(cfg) }
-
 // DisableView stops the view refresher, reporting whether one was running;
 // merged queries fold live shard snapshots again.
 func (h *Handle[T, A, S]) DisableView() bool { return h.sk.DisableView() }
@@ -256,13 +250,6 @@ func (h *Handle[T, A, S]) ViewEnabled() bool { return h.sk.ViewEnabled() }
 // ViewLag returns the age of the view's latest published refresh; zero
 // when no view is enabled.
 func (h *Handle[T, A, S]) ViewLag() time.Duration { return h.sk.ViewLag() }
-
-// EnableWindow declares a sliding window under cfg: windowed queries then
-// cover the live rotation interval plus the last cfg.Slots closed intervals,
-// while the cumulative plane keeps serving the whole stream. A windowed
-// query reflects all but at most Relaxation() of the window's updates, plus
-// whatever the live interval has accumulated beyond one rotation interval.
-func (h *Handle[T, A, S]) EnableWindow(cfg WindowConfig) error { return h.sk.EnableWindow(cfg) }
 
 // DisableWindow stops the window's rotator and collapses its closed slots
 // into the cumulative plane (no counted update is lost), reporting whether a
@@ -304,7 +291,10 @@ func (h *Handle[T, A, S]) Autoscale(p AutoscalePolicy) error {
 // StopAutoscale stops and detaches the controller driving this sketch,
 // reporting how many were stopped (0 or 1).
 func (h *Handle[T, A, S]) StopAutoscale() int {
-	return h.r.stopAutoscale([]*entry{h.e})
+	if h.e.sk.DisableAutoscale() {
+		return 1
+	}
+	return 0
 }
 
 // Info returns the sketch's live metadata (geometry, staleness bounds,

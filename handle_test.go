@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 )
 
 func openRegistry(t *testing.T, cfg fastsketches.RegistryConfig) *fastsketches.Registry {
@@ -134,7 +134,7 @@ func TestSpecViewRearm(t *testing.T) {
 // one controller per sketch, swapped not stacked.
 func TestSpecAutoscaleReplace(t *testing.T) {
 	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManualClock(time.Unix(0, 0))
 	pol := func(max int) *fastsketches.AutoscalePolicy {
 		return &fastsketches.AutoscalePolicy{HighWater: 1e9, MaxShards: max, SampleEvery: time.Hour, Clock: mc}
 	}

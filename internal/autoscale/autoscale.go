@@ -56,9 +56,14 @@
 // reported to queriers never exceeds max(S·r, MaxTransitionalRelaxation)
 // at any instant of a controlled sketch's life.
 //
-// All timing flows through an injectable Clock, so tests and stress
-// drivers replace real time with a ManualClock and drive Tick directly —
-// no sleeps, no timer-dependent flakiness.
+// # Who paces it
+//
+// A Controller owns no goroutine. The sharded sketch it drives paces Tick
+// every SampleEvery from its one maintenance loop (shard.Sharded's
+// EnableAutoscale), beside the sketch's view refresh and window rotation;
+// tests and stress drivers call Tick directly. All timing flows through the
+// injectable clock.Clock, so they replace real time with a
+// clock.ManualClock — no sleeps, no timer-dependent flakiness.
 package autoscale
 
 import (
@@ -66,6 +71,7 @@ import (
 	"sync"
 	"time"
 
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 )
 
@@ -139,8 +145,9 @@ type Policy struct {
 	// backlog: when both planes are behind, ingest wins and the controller
 	// holds. 0 disables the signal.
 	ViewLagHighWater time.Duration
-	// Clock supplies all controller timing. Default SystemClock.
-	Clock Clock
+	// Clock supplies all controller timing, including the sketch's tick
+	// pacing. Default clock.SystemClock.
+	Clock clock.Clock
 }
 
 func (p *Policy) normalise() error {
@@ -206,7 +213,7 @@ func (p *Policy) normalise() error {
 		return fmt.Errorf("autoscale: negative ViewLagHighWater")
 	}
 	if p.Clock == nil {
-		p.Clock = SystemClock{}
+		p.Clock = clock.SystemClock{}
 	}
 	return nil
 }
@@ -291,12 +298,13 @@ type Stats struct {
 	LastErr      error
 }
 
-// Controller drives one Target with one Policy. Create with New; either
-// call Start/Stop for the self-paced background loop, or Tick directly to
-// pace it externally (tests, stress drivers, benchmark conductors).
+// Controller drives one Target with one Policy. Create with New and pace
+// Tick externally: a sharded sketch ticks its controller from its
+// maintenance loop; tests, stress drivers and benchmark conductors call
+// Tick directly.
 type Controller struct {
 	t     Target
-	clock Clock
+	clock clock.Clock
 
 	mu           sync.Mutex
 	p            Policy // normalised
@@ -309,15 +317,10 @@ type Controller struct {
 	lastResize   time.Time
 	resized      bool
 	st           Stats
-
-	startMu sync.Mutex
-	started bool
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // New validates the policy, applies its defaults, and returns a controller
-// bound to the target. The controller is inert until Start or Tick.
+// bound to the target. The controller is inert until ticked.
 func New(t Target, p Policy) (*Controller, error) {
 	if err := p.normalise(); err != nil {
 		return nil, err
@@ -354,8 +357,8 @@ func (c *Controller) Stats() Stats {
 
 // Tick takes one sample at the clock's current instant and applies the
 // policy, returning the decision. Safe for concurrent use (ticks are
-// serialised), though one pacer — the Run loop or an external driver —
-// is the intended caller.
+// serialised), though one pacer — the sketch's maintenance loop or an
+// external driver — is the intended caller.
 func (c *Controller) Tick() Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -495,49 +498,4 @@ func (c *Controller) tryResize(now time.Time, from int, grow bool) Decision {
 	}
 	c.st.ScaleDowns++
 	return DecisionDown
-}
-
-// Run ticks the controller every SampleEvery on its Clock until stop is
-// closed. Most callers use Start/Stop instead; Run is exported for callers
-// that own the goroutine.
-func (c *Controller) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-c.clock.After(c.p.SampleEvery):
-			c.Tick()
-		}
-	}
-}
-
-// Start launches the background sampling loop. It panics if the controller
-// was already started (mirroring core.Framework.Start).
-func (c *Controller) Start() {
-	c.startMu.Lock()
-	defer c.startMu.Unlock()
-	if c.started {
-		panic("autoscale: Controller started twice")
-	}
-	c.started = true
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	go func() {
-		defer close(c.done)
-		c.Run(c.stop)
-	}()
-}
-
-// Stop halts the background loop and waits for it to exit. Idempotent, and
-// a no-op if Start was never called. The controller issues no further
-// resizes after Stop returns (external Tick callers excepted).
-func (c *Controller) Stop() {
-	c.startMu.Lock()
-	defer c.startMu.Unlock()
-	if !c.started || c.stop == nil {
-		return
-	}
-	close(c.stop)
-	<-c.done
-	c.stop = nil
 }

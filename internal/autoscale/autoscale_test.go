@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 )
 
@@ -46,13 +47,13 @@ const tickEvery = 100 * time.Millisecond
 // current shards, over one SampleEvery) and take one tick.
 type harness struct {
 	tg  *fakeTarget
-	mc  *autoscale.ManualClock
+	mc  *clock.ManualClock
 	ctl *autoscale.Controller
 }
 
 func newHarness(t *testing.T, tg *fakeTarget, p autoscale.Policy) *harness {
 	t.Helper()
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManualClock(time.Unix(1_000_000, 0))
 	p.Clock = mc
 	if p.SampleEvery == 0 {
 		p.SampleEvery = tickEvery
@@ -400,45 +401,6 @@ func TestSlowSquareWaveResizesAreBounded(t *testing.T) {
 	}
 	if up == 0 || down == 0 {
 		t.Errorf("expected movement in both directions, got %d up / %d down (%v)", up, down, tg.resizes)
-	}
-}
-
-func TestRunStopWithManualClock(t *testing.T) {
-	// The background loop paced by a ManualClock: every Advance(SampleEvery)
-	// yields exactly one tick, and Stop is clean and idempotent.
-	tg := &fakeTarget{shards: 4, r: 8}
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	p := policy()
-	p.Clock = mc
-	p.SampleEvery = tickEvery
-	ctl, err := autoscale.New(tg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.Start()
-	for i := 0; i < 3; i++ {
-		waitFor(t, func() bool { return mc.Waiters() == 1 })
-		mc.Advance(tickEvery)
-		want := int64(i + 1)
-		waitFor(t, func() bool { return ctl.Stats().Samples == want })
-	}
-	ctl.Stop()
-	ctl.Stop() // idempotent
-	if got := ctl.Stats().Samples; got != 3 {
-		t.Fatalf("samples after stop = %d, want 3", got)
-	}
-}
-
-// waitFor polls cond (yielding) with a generous bound; the condition is
-// driven by the ManualClock, not real time, so this never sleeps.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never reached")
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 

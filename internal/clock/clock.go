@@ -1,15 +1,20 @@
-package autoscale
+// Package clock is the module's one injectable time source. Every periodic
+// task — a sketch's view refresh, window rotation and autoscale tick, the
+// registry checkpointer and the ops sweeper — reads time and arms its next
+// tick through a Clock, so tests and stress drivers replace real time with a
+// ManualClock and pace every loop deterministically.
+package clock
 
 import (
 	"sync"
 	"time"
 )
 
-// Clock abstracts the controller's only two uses of time — reading the
-// current instant and waiting for the next sampling tick — so every
-// time-dependent decision (rates, cooldowns, tick pacing) can be driven by
-// a ManualClock in tests and stress runs, with no sleeps and no wall-clock
-// flakiness. Production controllers default to SystemClock.
+// Clock abstracts the two uses of time every periodic task has — reading
+// the current instant and waiting for the next tick — so every
+// time-dependent decision (rates, cooldowns, expiries, tick pacing) can be
+// driven by a ManualClock in tests and stress runs, with no sleeps and no
+// wall-clock flakiness. Production code defaults to SystemClock.
 type Clock interface {
 	Now() time.Time
 	// After behaves like time.After: a channel that delivers one value once

@@ -16,10 +16,11 @@
 // the updates invoked before its response containing all but ≤ r of the
 // updates that completed before its invocation, i.e.
 //
-//	completedBefore(q) − r  ≤  v  ≤  startedBefore(q).
+//	completedBefore(invoke(q)) − r  ≤  v  ≤  startedBefore(return(q)).
 //
-// The package records real histories with monotonic per-event timestamps
-// and checks this window for every query, providing the empirical
+// The package records real histories with monotonic per-event timestamps —
+// queries, like updates, as an invoke/return pair around the read — and
+// checks this window for every query, providing the empirical
 // counterpart of the paper's Theorem 1 on actual executions (the
 // exhaustive-schedule counterpart lives in internal/core's model tests).
 package relax
@@ -39,10 +40,10 @@ const (
 	UpdateInvoke EventKind = iota
 	// UpdateResponse marks its completion.
 	UpdateResponse
-	// QueryPoint marks a query (invoke and response collapse: the queries
-	// of the concurrent sketch are a single atomic load, so the interval
-	// is one point in the recorder's clock).
-	QueryPoint
+	// QueryInvoke marks the start of a query, before it reads the sketch.
+	QueryInvoke
+	// QueryResponse marks its completion and carries the value it returned.
+	QueryResponse
 )
 
 // Event is one history entry.
@@ -54,7 +55,9 @@ type Event struct {
 	Seq uint64
 	// Writer identifies the lane for update events.
 	Writer int
-	// Value is the query result for QueryPoint events.
+	// Query is, on a QueryResponse, the Seq of the matching QueryInvoke.
+	Query uint64
+	// Value is the query result for QueryResponse events.
 	Value float64
 }
 
@@ -93,9 +96,23 @@ func (r *Recorder) UpdateReturned(writer int) {
 	r.record(Event{Kind: UpdateResponse, Writer: writer})
 }
 
-// QueryObserved records a query and the value it returned.
+// QueryInvoked records the invocation of a query — call it before the
+// query reads the sketch — and returns the id its QueryReturned must pass.
+func (r *Recorder) QueryInvoked() uint64 {
+	return r.record(Event{Kind: QueryInvoke})
+}
+
+// QueryReturned records the completion of query id and the value it
+// returned; call it after the read.
+func (r *Recorder) QueryReturned(id uint64, value float64) {
+	r.record(Event{Kind: QueryResponse, Query: id, Value: value})
+}
+
+// QueryObserved records a query whose invocation and response are the same
+// instant of the recorder's clock, with the value it returned — for
+// hand-built histories whose queries need no interval.
 func (r *Recorder) QueryObserved(value float64) {
-	r.record(Event{Kind: QueryPoint, Value: value})
+	r.QueryReturned(r.QueryInvoked(), value)
 }
 
 // History returns the recorded events in sequence order.
@@ -121,32 +138,47 @@ func (v Violation) Error() string {
 		v.QuerySeq, v.Value, v.CompletedBefore, v.R, v.StartedBefore)
 }
 
-// CheckDistinctExact verifies a recorded history of a distinct-counting
-// sketch in exact mode (all updates unique, estimate = retained count)
-// against the r-relaxation window. It returns every violating query.
-func CheckDistinctExact(history []Event, r int) []Violation {
-	var violations []Violation
+// eachQuery walks a history in sequence order and calls f for every
+// completed query with its window: the updates completed before the query
+// was invoked and those started before it returned. It returns the number
+// of updates invoked.
+func eachQuery(history []Event, f func(q Event, completedBefore, startedBefore int)) int {
 	started, completed := 0, 0
+	completedAt := map[uint64]int{} // open query's invoke Seq → completed then
 	for _, e := range history {
 		switch e.Kind {
 		case UpdateInvoke:
 			started++
 		case UpdateResponse:
 			completed++
-		case QueryPoint:
-			lo := float64(completed - r)
-			hi := float64(started)
-			if e.Value < lo || e.Value > hi {
-				violations = append(violations, Violation{
-					QuerySeq:        e.Seq,
-					Value:           e.Value,
-					CompletedBefore: completed,
-					StartedBefore:   started,
-					R:               r,
-				})
-			}
+		case QueryInvoke:
+			completedAt[e.Seq] = completed
+		case QueryResponse:
+			f(e, completedAt[e.Query], started)
+			delete(completedAt, e.Query)
 		}
 	}
+	return started
+}
+
+// CheckDistinctExact verifies a recorded history of a distinct-counting
+// sketch in exact mode (all updates unique, estimate = retained count)
+// against the r-relaxation window: each query's value is bounded below by
+// the updates completed before its invocation, less r, and above by the
+// updates started before its response. It returns every violating query.
+func CheckDistinctExact(history []Event, r int) []Violation {
+	var violations []Violation
+	eachQuery(history, func(q Event, completed, started int) {
+		if q.Value < float64(completed-r) || q.Value > float64(started) {
+			violations = append(violations, Violation{
+				QuerySeq:        q.Query,
+				Value:           q.Value,
+				CompletedBefore: completed,
+				StartedBefore:   started,
+				R:               r,
+			})
+		}
+	})
 	return violations
 }
 
@@ -154,28 +186,20 @@ func CheckDistinctExact(history []Event, r int) []Violation {
 type Stats struct {
 	Updates int
 	Queries int
-	// MaxDeficit is the largest (completedBefore − value) over all queries:
-	// how close the execution came to the relaxation bound.
+	// MaxDeficit is the largest (completed before invocation − value) over
+	// all queries: how close the execution came to the relaxation bound.
 	MaxDeficit float64
 }
 
 // Summarise computes history statistics.
 func Summarise(history []Event) Stats {
 	var st Stats
-	completed := 0
-	for _, e := range history {
-		switch e.Kind {
-		case UpdateInvoke:
-			st.Updates++
-		case UpdateResponse:
-			completed++
-		case QueryPoint:
-			st.Queries++
-			if d := float64(completed) - e.Value; d > st.MaxDeficit {
-				st.MaxDeficit = d
-			}
+	st.Updates = eachQuery(history, func(q Event, completed, _ int) {
+		st.Queries++
+		if d := float64(completed) - q.Value; d > st.MaxDeficit {
+			st.MaxDeficit = d
 		}
-	}
+	})
 	return st
 }
 

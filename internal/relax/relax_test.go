@@ -159,7 +159,8 @@ func TestRealExecutionHistories(t *testing.T) {
 				return
 			default:
 			}
-			rec.QueryObserved(comp.Estimate())
+			id := rec.QueryInvoked()
+			rec.QueryReturned(id, comp.Estimate())
 			runtime.Gosched() // let writers run on small machines
 		}
 	}()

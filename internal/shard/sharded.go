@@ -142,18 +142,23 @@ type Sharded[T any, A Accumulator[A], C Mergeable[T, A]] struct {
 	// unexpired view replaces the whole S-shard fold with one accumulator
 	// fold.
 	view atomic.Pointer[viewBuf[A]]
-	// vr is the refresher runtime while a view is enabled; nil otherwise.
-	// Mutated only under resizeMu (EnableView/DisableView/Close).
+	// vr, wr and ar are the periodic tasks the maintenance loop runs (see
+	// maintain.go): the view refresher, the window rotator and the
+	// autoscale controller, each nil while not enabled. Mutated only under
+	// resizeMu (Enable*/Disable*/Close); the window's ring is mutated only
+	// under resizeMu too (see window.go).
 	vr atomic.Pointer[viewRuntime[A]]
-	// wr is the rotator runtime while a sliding window is enabled; nil
-	// otherwise. Mutated only under resizeMu (EnableWindow/DisableWindow/
-	// Close); its ring is mutated only under resizeMu too (see window.go).
 	wr atomic.Pointer[windowRuntime[A]]
+	ar atomic.Pointer[autoscaleRuntime]
 
-	// resizeMu serialises Resize, Close, rotation and view/window
-	// enable/disable; none is on a hot path.
+	// resizeMu serialises Resize, Close, rotation and task enable/disable;
+	// none is on a hot path.
 	resizeMu sync.Mutex
 	closed   bool
+	// loop is the sketch's one maintenance goroutine, started by the first
+	// periodic task enabled and stopped by Close; nil until then. Guarded by
+	// resizeMu.
+	loop *maintenance
 }
 
 // newSharded builds and starts one sharded sketch from a family descriptor:
@@ -335,12 +340,7 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 		// ring slot along with the new shards' contributions. Legacy is
 		// untouched; windowed queries keep covering exactly the window.
 		carry := s.mkAcc()
-		if w.hasCarry {
-			w.carry.FoldInto(carry)
-		}
-		for _, c := range old.comps {
-			c.SnapshotMergeInto(carry)
-		}
+		foldLive(old, carry)
 		win := *w
 		win.carry, win.hasCarry = carry, true
 		retired.win = &win
@@ -354,9 +354,7 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 		if old.hasLegacy {
 			old.legacy.FoldInto(legacy)
 		}
-		for _, c := range old.comps {
-			c.SnapshotMergeInto(legacy)
-		}
+		foldLive(old, legacy)
 		retired.legacy, retired.hasLegacy = legacy, true
 	}
 	s.st.Store(retired) // retire the old epoch atomically
@@ -396,13 +394,21 @@ func mergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A,
 	if st.hasLegacy {
 		st.legacy.FoldInto(acc)
 	}
-	if w := st.win; w != nil {
-		if w.hasMerged {
-			w.merged.FoldInto(acc)
-		}
-		if w.hasCarry {
-			w.carry.FoldInto(acc)
-		}
+	if w := st.win; w != nil && w.hasMerged {
+		w.merged.FoldInto(acc)
+	}
+	foldLive(st, acc)
+}
+
+// foldLive folds one epoch's live state — a window's resize carry (the open
+// interval's drained shards), the draining old epoch's shard snapshots and
+// the current shard snapshots — into acc. Every fold of a sketch's state
+// ends with it: cumulative, windowed, decayed and the checkpoint export
+// differ only in the closed planes they fold first, and Resize and rotation
+// drain a closing epoch's live state through it too.
+func foldLive[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A, C], acc A) {
+	if w := st.win; w != nil && w.hasCarry {
+		w.carry.FoldInto(acc)
 	}
 	if st.old != nil {
 		for _, c := range st.old.comps {
@@ -549,10 +555,11 @@ func (s *Sharded[T, A, C]) Eager() bool {
 
 // Close stops all shard propagators and drains every buffer; afterwards
 // merged queries summarise the entire ingested stream with no relaxation
-// residue. A materialized view and a sliding-window rotator, if enabled,
-// are stopped first (Close never leaks their goroutines), so post-Close
-// queries fold the drained shards live and are exact. Call once, after all
-// writer goroutines stop; Close is serialised with Resize and idempotent.
+// residue. Every periodic task — view refresh, window rotation, autoscale
+// — is stopped along with the maintenance loop (Close never leaks its
+// goroutine), so post-Close queries fold the drained shards live and are
+// exact, and every later Enable* fails. Call once, after all writer
+// goroutines stop; Close is serialised with Resize and idempotent.
 func (s *Sharded[T, A, C]) Close() {
 	s.resizeMu.Lock()
 	if s.closed {
@@ -560,24 +567,26 @@ func (s *Sharded[T, A, C]) Close() {
 		return
 	}
 	s.closed = true
-	vr := s.vr.Load()
-	if vr != nil {
-		s.vr.Store(nil)
-	}
-	wr := s.wr.Load()
-	if wr != nil {
-		s.wr.Store(nil)
-	}
+	vr := s.vr.Swap(nil)
+	s.wr.Store(nil)
+	// The controller is stopped but stays attached: like the drained shards,
+	// its final counters and policy remain readable after Close.
+	ar := s.ar.Load()
+	loop := s.loop
 	s.st.Load().g.close()
-	// The runtimes are detached; stop them outside resizeMu — the rotator
-	// loop acquires resizeMu per tick (RotateNow), so waiting for it while
-	// holding the lock would deadlock. A tick that slips in between sees
-	// wr == nil (or closed) and is a no-op.
+	// Stop the tasks and the loop outside resizeMu: an in-flight tick may
+	// be mid-rotation or mid-Resize, both of which take resizeMu. A tick
+	// that slips in is a no-op (the runtimes are detached or stopped, the
+	// sketch closed).
 	s.resizeMu.Unlock()
 	if vr != nil {
 		s.stopView(vr)
 	}
-	if wr != nil {
-		s.stopWindow(wr)
+	if ar != nil {
+		ar.stop()
+	}
+	if loop != nil {
+		close(loop.stop)
+		<-loop.done
 	}
 }

@@ -6,31 +6,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fastsketches/internal/clock"
 )
 
-// Clock abstracts the view refresher's two uses of time — stamping a
-// published view and pacing refresh ticks — mirroring the autoscale
-// controller's Clock so tests and stress drivers can pace refreshes
-// deterministically (autoscale.ManualClock satisfies this interface
-// structurally). Production views default to the system clock.
-type Clock interface {
-	Now() time.Time
-	// After behaves like time.After: a channel that delivers one value once
-	// d has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-}
-
-// systemClock is the production Clock: real time.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// ViewConfig configures a materialized merged view: a background refresher
-// periodically folds the sketch's entire published state (legacy ∪ draining
-// epoch ∪ current shards) into one of two dedicated accumulators and
-// publishes it atomically, so merged queries become a single accumulator
-// fold — O(1) in the shard count — at the price of bounded extra staleness.
+// ViewConfig configures a materialized merged view: a refresh task on the
+// sketch's maintenance loop periodically folds the sketch's entire
+// published state (legacy ∪ draining epoch ∪ current shards) into one of
+// two dedicated accumulators and publishes it atomically, so merged queries
+// become a single accumulator fold — O(1) in the shard count — at the price
+// of bounded extra staleness.
 type ViewConfig struct {
 	// RefreshEvery is the refresher's tick interval. Defaults to 50ms.
 	// A query served from the view reflects all but at most
@@ -47,7 +32,7 @@ type ViewConfig struct {
 	MaxAge time.Duration
 	// Clock drives refresh pacing and view timestamps. Defaults to the
 	// system clock.
-	Clock Clock
+	Clock clock.Clock
 }
 
 func (c *ViewConfig) normalise() {
@@ -58,7 +43,7 @@ func (c *ViewConfig) normalise() {
 		c.MaxAge = 4 * c.RefreshEvery
 	}
 	if c.Clock == nil {
-		c.Clock = systemClock{}
+		c.Clock = clock.SystemClock{}
 	}
 }
 
@@ -76,12 +61,12 @@ type viewBuf[A any] struct {
 	// race-free: both transitions synchronise through the view pointer and
 	// the refs counter.
 	expiresAt int64
-	clock     Clock
+	clock     clock.Clock
 }
 
 // viewRuntime is the per-sketch refresher state while a view is enabled.
 type viewRuntime[A any] struct {
-	// mu serialises refreshes (the background loop and RefreshViewNow) and
+	// mu serialises refreshes (the maintenance loop and RefreshViewNow) and
 	// orders them against teardown: once stopped is set under mu, no further
 	// refresh can publish.
 	mu      sync.Mutex
@@ -91,24 +76,21 @@ type viewRuntime[A any] struct {
 	bufs [2]*viewBuf[A]
 	next int // index of the buffer the next refresh fills
 
-	stop chan struct{}
-	done chan struct{}
-
 	// builtAt is the UnixNano timestamp of the latest published view, for
 	// ViewLag. 0 until the first publish.
 	builtAt atomic.Int64
 }
 
 // EnableView materializes this sketch's merged state: it performs one
-// synchronous refresh (so a view is available immediately) and starts a
-// background refresher that re-folds all shard snapshots every
-// cfg.RefreshEvery and publishes the result atomically. While a fresh view
-// is published, MergeInto/QueryInto — and every family query built on them —
-// fold the single view accumulator instead of S shard snapshots: query cost
-// becomes constant in S, and the staleness bound grows from S·r to
-// S·r + one refresh interval (see ViewConfig).
+// synchronous refresh (so a view is available immediately) and arms a
+// refresh task on the sketch's maintenance loop that re-folds all shard
+// snapshots every cfg.RefreshEvery and publishes the result atomically.
+// While a fresh view is published, MergeInto/QueryInto — and every family
+// query built on them — fold the single view accumulator instead of S
+// shard snapshots: query cost becomes constant in S, and the staleness
+// bound grows from S·r to S·r + one refresh interval (see ViewConfig).
 //
-// The refresher is stopped by DisableView or Close. Enabling a view on a
+// The refresh task is stopped by DisableView or Close. Enabling a view on a
 // sketch that already has one is an error; enabling after Close is an error.
 func (s *Sharded[T, A, C]) EnableView(cfg ViewConfig) error {
 	cfg.normalise()
@@ -120,31 +102,17 @@ func (s *Sharded[T, A, C]) EnableView(cfg ViewConfig) error {
 	if s.vr.Load() != nil {
 		return fmt.Errorf("shard: view already enabled")
 	}
-	vr := &viewRuntime[A]{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	vr := &viewRuntime[A]{cfg: cfg}
 	for i := range vr.bufs {
 		vr.bufs[i] = &viewBuf[A]{acc: s.mkAcc(), clock: cfg.Clock}
 	}
 	s.vr.Store(vr)
 	s.refreshView(vr) // publish an initial view before returning
-	go func() {
-		defer close(vr.done)
-		for {
-			select {
-			case <-vr.stop:
-				return
-			case <-cfg.Clock.After(cfg.RefreshEvery):
-				s.refreshView(vr)
-			}
-		}
-	}()
+	s.armLocked()
 	return nil
 }
 
-// DisableView stops the refresher and unpublishes the view; subsequent
+// DisableView stops the refresh task and unpublishes the view; subsequent
 // merged queries fold live shard snapshots again (bound back to S·r).
 // Returns false if no view was enabled. Idempotent and safe concurrently
 // with queries: a querier mid-fold on the final published view finishes
@@ -157,19 +125,18 @@ func (s *Sharded[T, A, C]) DisableView() bool {
 		return false
 	}
 	s.vr.Store(nil)
+	s.armLocked()
 	s.resizeMu.Unlock()
 	s.stopView(vr)
 	return true
 }
 
-// stopView tears down a detached viewRuntime: stops the background loop,
-// forbids further publishes, and unpublishes the view pointer.
+// stopView tears down a detached viewRuntime: it waits out an in-flight
+// refresh, forbids further publishes, and unpublishes the view pointer.
 func (s *Sharded[T, A, C]) stopView(vr *viewRuntime[A]) {
 	vr.mu.Lock()
 	vr.stopped = true
 	vr.mu.Unlock()
-	close(vr.stop)
-	<-vr.done
 	s.view.Store(nil)
 }
 

@@ -55,23 +55,20 @@ type epochWindow[A any] struct {
 type windowRuntime[A window.Acc[A]] struct {
 	cfg  window.Config
 	ring *window.Ring[A]
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// EnableWindow declares a sliding window on this sketch and starts the
-// rotator: every cfg.Interval the live interval is closed into a ring slot
-// holding the last cfg.Slots closed intervals (see the package comment for
-// the full protocol). Cumulative queries are unchanged — closed-slot state
+// EnableWindow declares a sliding window on this sketch and arms its
+// rotation task on the sketch's maintenance loop: every cfg.Interval the
+// live interval is closed into a ring slot holding the last cfg.Slots
+// closed intervals (see the package comment for the full protocol). Cumulative queries are unchanged — closed-slot state
 // reaches them through the window's suffix-merge, expelled state through
 // legacy — while WindowQueryInto and the family Window* queries cover
 // exactly the window.
 //
 // cfg.Decay requires a family whose accumulator has linearly scalable
-// counters (Count-Min); declaring it elsewhere is an error. The rotator is
-// stopped by DisableWindow or Close. Enabling a window on a sketch that
-// already has one is an error; enabling after Close is an error.
+// counters (Count-Min); declaring it elsewhere is an error. The rotation
+// task is stopped by DisableWindow or Close. Enabling a window on a sketch
+// that already has one is an error; enabling after Close is an error.
 func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 	cfg, err := cfg.Normalise()
 	if err != nil {
@@ -90,42 +87,15 @@ func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 	if s.wr.Load() != nil {
 		return fmt.Errorf("shard: window already enabled")
 	}
-	st := s.st.Load()
-	next := &epochState[T, A, C]{
-		comps: st.comps, g: st.g, old: st.old,
-		legacy: st.legacy, hasLegacy: st.hasLegacy,
-		basePressure: st.basePressure,
-		win: &epochWindow[A]{
-			cfg:       cfg,
-			liveStart: cfg.Clock.Now().UnixNano(),
-		},
-	}
-	s.st.Store(next)
-	wr := &windowRuntime[A]{
-		cfg:  cfg,
-		ring: window.NewRing[A](cfg.Slots),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.wr.Store(wr)
-	go s.rotateLoop(wr)
+	next := *s.st.Load()
+	next.win = &epochWindow[A]{cfg: cfg, liveStart: cfg.Clock.Now().UnixNano()}
+	s.st.Store(&next)
+	s.wr.Store(&windowRuntime[A]{cfg: cfg, ring: window.NewRing[A](cfg.Slots)})
+	s.armLocked()
 	return nil
 }
 
-// rotateLoop paces rotations on the window clock until stopped.
-func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime[A]) {
-	defer close(wr.done)
-	for {
-		select {
-		case <-wr.stop:
-			return
-		case <-wr.cfg.Clock.After(wr.cfg.Interval):
-			s.RotateNow()
-		}
-	}
-}
-
-// DisableWindow stops the rotator and collapses the window's planes —
+// DisableWindow stops the rotation task and collapses the window's planes —
 // suffix-merge and carry — into a fresh legacy accumulator, published on
 // the same atomic epoch store that drops the window, so cumulative queries
 // keep their answers to the instant and windowed queries stop resolving.
@@ -133,12 +103,10 @@ func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime[A]) {
 // with queries.
 func (s *Sharded[T, A, C]) DisableWindow() bool {
 	s.resizeMu.Lock()
-	wr := s.wr.Load()
-	if wr == nil {
+	if s.wr.Swap(nil) == nil {
 		s.resizeMu.Unlock()
 		return false
 	}
-	s.wr.Store(nil)
 	st := s.st.Load()
 	if w := st.win; w != nil {
 		legacy := s.mkAcc()
@@ -151,38 +119,33 @@ func (s *Sharded[T, A, C]) DisableWindow() bool {
 		if w.hasCarry {
 			w.carry.FoldInto(legacy)
 		}
-		next := &epochState[T, A, C]{
-			comps: st.comps, g: st.g, old: st.old,
-			legacy: legacy, hasLegacy: true,
-			basePressure: st.basePressure,
-		}
-		s.st.Store(next)
+		next := *st
+		next.legacy, next.hasLegacy, next.win = legacy, true, nil
+		s.st.Store(&next)
 	}
+	s.armLocked()
 	s.resizeMu.Unlock()
-	s.stopWindow(wr)
 	return true
-}
-
-// stopWindow tears down a detached rotator runtime. Must be called without
-// resizeMu held: the loop's in-flight tick acquires resizeMu in RotateNow
-// (and no-ops once the runtime is detached).
-func (s *Sharded[T, A, C]) stopWindow(wr *windowRuntime[A]) {
-	close(wr.stop)
-	<-wr.done
 }
 
 // RotateNow closes the live interval into the ring synchronously,
 // independent of the background tick — the deterministic pacing hook for
-// tests and stress drivers (the background loop calls it too). Returns
-// false if no window is enabled or the sketch is closed.
-func (s *Sharded[T, A, C]) RotateNow() bool {
+// tests and stress drivers. Returns false if no window is enabled or the
+// sketch is closed.
+func (s *Sharded[T, A, C]) RotateNow() bool { return s.rotate(nil) }
+
+// rotate performs one rotation of window wr — or, with wr nil, of whatever
+// window is enabled — under resizeMu. The maintenance loop passes the
+// window its timer was armed for, so a tick outliving its window (disabled
+// or re-declared since) rotates nothing.
+func (s *Sharded[T, A, C]) rotate(wr *windowRuntime[A]) bool {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
-	wr := s.wr.Load()
-	if wr == nil || s.closed {
+	cur := s.wr.Load()
+	if cur == nil || s.closed || (wr != nil && wr != cur) {
 		return false
 	}
-	s.rotateLocked(wr)
+	s.rotateLocked(cur)
 	return true
 }
 
@@ -237,12 +200,7 @@ func (s *Sharded[T, A, C]) rotateLocked(wr *windowRuntime[A]) {
 	if !haveSlot {
 		slot = s.mkAcc()
 	}
-	if w.hasCarry {
-		w.carry.FoldInto(slot)
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(slot)
-	}
+	foldLive(st, slot)
 	wr.ring.Push(slot)
 
 	merged := s.mkAcc()
@@ -290,17 +248,7 @@ func windowMergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState
 	if w.hasMerged {
 		w.merged.FoldInto(acc)
 	}
-	if w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldLive(st, acc)
 	return true
 }
 
@@ -337,17 +285,7 @@ func (s *Sharded[T, A, C]) DecayedMergeInto(acc A) bool {
 	if w.hasDecayed {
 		w.decayed.FoldInto(acc)
 	}
-	if w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldLive(st, acc)
 	return true
 }
 
@@ -522,17 +460,7 @@ func appendWindowedSnapshot[T any, A interface {
 	if st.hasLegacy {
 		st.legacy.FoldInto(acc)
 	}
-	if w != nil && w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldLive(st, acc)
 	out = acc.ExportTo(dst)
 	s.release(acc)
 	if w == nil || wr == nil {
@@ -550,7 +478,7 @@ func appendWindowedSnapshot[T any, A interface {
 // restoreWindow rebuilds a window from checkpointed state: the closed slots
 // (oldest first) are imported into fresh ring accumulators, the
 // suffix-merge is refreshed, the decay plane imported if present, and the
-// rotator started with a fresh live interval. The base blob must already
+// rotation task armed with a fresh live interval. The base blob must already
 // have been imported (ImportSnapshot → legacy) — restored closed slots are
 // counted by windowed queries only, never double-counted by cumulative
 // ones. Errors if a window is already enabled or the slots exceed the ring.
@@ -592,29 +520,18 @@ func restoreWindow[T any, A interface {
 		}
 		hasDecayed = true
 	}
-	st := s.st.Load()
-	next := &epochState[T, A, C]{
-		comps: st.comps, g: st.g, old: st.old,
-		legacy: st.legacy, hasLegacy: st.hasLegacy,
-		basePressure: st.basePressure,
-		win: &epochWindow[A]{
-			cfg:        cfg,
-			merged:     merged,
-			hasMerged:  true,
-			decayed:    decayed,
-			hasDecayed: hasDecayed,
-			liveStart:  cfg.Clock.Now().UnixNano(),
-		},
+	next := *s.st.Load()
+	next.win = &epochWindow[A]{
+		cfg:        cfg,
+		merged:     merged,
+		hasMerged:  true,
+		decayed:    decayed,
+		hasDecayed: hasDecayed,
+		liveStart:  cfg.Clock.Now().UnixNano(),
 	}
-	s.st.Store(next)
-	wr := &windowRuntime[A]{
-		cfg:  cfg,
-		ring: ring,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.wr.Store(wr)
-	go s.rotateLoop(wr)
+	s.st.Store(&next)
+	s.wr.Store(&windowRuntime[A]{cfg: cfg, ring: ring})
+	s.armLocked()
 	return nil
 }
 

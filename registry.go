@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/shard"
 )
@@ -200,11 +202,12 @@ type Registry struct {
 	mu     sync.RWMutex
 	closed bool
 	// sketches is the one sketch map: every registered sketch, keyed by
-	// family and name, owns its lifecycle and autoscale controller.
+	// family and name, with its lifecycle.
 	sketches map[key]*entry
 	// memPressure is the memory-budget signal installed by
-	// SetAutoscaleMemoryPressure, propagated to every attached controller.
-	memPressure func() bool
+	// SetAutoscaleMemoryPressure; every controller reads it through
+	// overBudget, so installing it touches no sketch.
+	memPressure atomic.Pointer[func() bool]
 
 	// ckptMu serialises checkpoint encodes and guards the reusable
 	// checkpoint scratch below, so steady-state checkpoints (a periodic
@@ -222,18 +225,17 @@ var families = [...]string{"theta", "hll", "quantiles", "countmin"}
 // key identifies one registered sketch.
 type key struct{ family, name string }
 
-// entry is one registered sketch together with everything declared on it.
-// sk and key never change; idleTTL, pinned and ctl are guarded by r.mu and
-// written only while the entry is registered, so nothing declared on a
-// dropped sketch can outlive it or leak into a sketch recreated under its
-// name.
+// entry is one registered sketch together with its lifecycle. sk and key
+// never change; idleTTL and pinned are guarded by r.mu and written only
+// while the entry is registered, so a lifecycle declared on a dropped
+// sketch cannot leak into a sketch recreated under its name. Everything
+// else declared on the sketch — view, window, autoscale controller — lives
+// on the sketch itself and dies with its Close.
 type entry struct {
 	key
 	sk      sharded
 	idleTTL time.Duration
 	pinned  bool
-	// ctl is the entry's autoscale controller, nil when none is attached.
-	ctl *autoscale.Controller
 }
 
 // sharded is the family-agnostic surface of a sharded sketch the registry
@@ -254,6 +256,10 @@ type sharded interface {
 	WindowStats() (shard.WindowInfo, bool)
 	WindowDecaySupported() bool
 	RestoreWindow(shard.WindowConfig, [][]byte, []byte) error
+	EnableAutoscale(autoscale.Policy, func() bool) error
+	DisableAutoscale() bool
+	AutoscaleSettings() (autoscale.Policy, bool)
+	AutoscaleStats() (autoscale.Stats, bool)
 	AppendSnapshot([]byte) []byte
 	AppendWindowedSnapshot([]byte) ([]byte, [][]byte, []byte)
 	ImportSnapshot([]byte) error
@@ -408,20 +414,18 @@ func (r *Registry) Apply(family, name string, spec Spec) (int, error) {
 }
 
 // apply is the one configuration path: Open*, Apply, checkpoint restore
-// and the handle's Autoscale all end here. Resize, view and window changes
-// run outside the registry lock (each serialises on the sketch's own
-// resize lock, and a resize drain can take a writer-grace period); they
-// fail on a sketch closed by a concurrent Drop. The entry-owned state — the
-// controller and the lifecycle — is written under r.mu, and only while e is
-// still registered, so an apply racing Drop can neither leave a controller
-// running against the closed sketch nor leak its lifecycle into the next
-// sketch opened under the name. The controller is built first, so an
-// invalid policy fails before any other section takes effect.
+// and the handle's Autoscale all end here. Autoscale, resize, view and
+// window changes run outside the registry lock (each serialises on the
+// sketch's own resize lock, and a resize drain can take a writer-grace
+// period); a sketch closed by a concurrent Drop refuses every one of them,
+// so nothing an apply racing Drop declares can run against the closed
+// sketch. The lifecycle is written under r.mu, and only while e is still
+// registered, so it cannot leak into the next sketch opened under the name.
+// The controller is attached first, so an invalid policy fails before any
+// other section takes effect.
 func (r *Registry) apply(e *entry, spec Spec) error {
-	var ctl *autoscale.Controller
 	if spec.Autoscale != nil {
-		var err error
-		if ctl, err = autoscale.New(e.sk, *spec.Autoscale); err != nil {
+		if err := e.sk.EnableAutoscale(*spec.Autoscale, r.overBudget); err != nil {
 			return err
 		}
 	}
@@ -451,32 +455,15 @@ func (r *Registry) apply(e *entry, spec Spec) error {
 			}
 		}
 	}
-	lifecycle := spec.IdleTTL != 0 || spec.Pinned
-	if ctl == nil && !lifecycle {
+	if spec.IdleTTL == 0 && !spec.Pinned {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed || r.sketches[e.key] != e {
-		r.mu.Unlock()
 		return fmt.Errorf("%w: %s sketch %q was dropped or its registry closed", ErrConfig, e.family, e.name)
 	}
-	var old *autoscale.Controller
-	if ctl != nil {
-		if r.memPressure != nil {
-			ctl.SetMemoryPressure(r.memPressure)
-		}
-		// Started under r.mu: a Drop that unregisters e afterwards finds
-		// the running controller and stops it.
-		ctl.Start()
-		old, e.ctl = e.ctl, ctl
-	}
-	if lifecycle {
-		e.idleTTL, e.pinned = spec.IdleTTL, spec.Pinned
-	}
-	r.mu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
+	e.idleTTL, e.pinned = spec.IdleTTL, spec.Pinned
 	return nil
 }
 
@@ -495,9 +482,10 @@ type WindowConfig = shard.WindowConfig
 // — see shard.WindowInfo.
 type WindowInfo = shard.WindowInfo
 
-// Clock is the injectable time source shared by view refreshers (and,
-// structurally, autoscale controllers).
-type Clock = shard.Clock
+// Clock is the module's one injectable time source — see clock.Clock —
+// shared by view refreshers, window rotators, autoscale controllers, the
+// Checkpointer and the ops sweeper.
+type Clock = clock.Clock
 
 // StopView stops the view refresher of every sketch registered under
 // name, across all families, and reports how many views were disabled.
@@ -532,47 +520,30 @@ func (r *Registry) StopWindow(name string) int {
 // sketch registered under name, across all families, and reports how many
 // were stopped.
 func (r *Registry) StopAutoscale(name string) int {
-	return r.stopAutoscale(r.entries("", name))
-}
-
-// stopAutoscale detaches the controllers of es under r.mu and stops them
-// outside it (Stop waits for an in-flight tick, which may be mid-resize).
-func (r *Registry) stopAutoscale(es []*entry) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic(errUseAfterClose)
-	}
-	var stop []*autoscale.Controller
-	for _, e := range es {
-		if e.ctl != nil {
-			stop = append(stop, e.ctl)
-			e.ctl = nil
+	n := 0
+	for _, e := range r.entries("", name) {
+		if e.sk.DisableAutoscale() {
+			n++
 		}
 	}
-	r.mu.Unlock()
-	for _, ctl := range stop {
-		ctl.Stop()
-	}
-	return len(stop)
+	return n
 }
 
-// SetAutoscaleMemoryPressure installs f as the memory-budget signal on
-// every attached autoscale controller, current and future: while f reports
-// true, controllers veto scale-ups and treat quiet samples as
-// down-pressure (see autoscale.Controller.SetMemoryPressure). The ops
-// layer's budget accountant installs it so the budget acts through the
-// control loop before the accountant has to shed. Pass nil to remove the
-// signal.
+// SetAutoscaleMemoryPressure installs f as the memory-budget signal of
+// every autoscale controller, current and future: while f reports true,
+// controllers veto scale-ups and treat quiet samples as down-pressure (see
+// autoscale.Controller.SetMemoryPressure). The ops layer's budget
+// accountant installs it so the budget acts through the control loop
+// before the accountant has to shed. Pass nil to remove the signal.
 func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.memPressure = f
-	for _, e := range r.sketches {
-		if e.ctl != nil {
-			e.ctl.SetMemoryPressure(f)
-		}
-	}
+	r.memPressure.Store(&f)
+}
+
+// overBudget is the one memory-pressure closure every controller the
+// registry attaches reads: the signal currently installed, or false.
+func (r *Registry) overBudget() bool {
+	f := r.memPressure.Load()
+	return f != nil && *f != nil && (*f)()
 }
 
 // AutoscaleStats returns a live counter snapshot of the autoscale
@@ -580,15 +551,12 @@ func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
 // ok=false when the sketch has no controller (or does not exist).
 func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
 	r.mu.RLock()
-	var ctl *autoscale.Controller
-	if e, ok := r.sketches[key{family, name}]; ok {
-		ctl = e.ctl
-	}
+	e, ok := r.sketches[key{family, name}]
 	r.mu.RUnlock()
-	if ctl == nil {
+	if !ok {
 		return autoscale.Stats{}, false
 	}
-	return ctl.Stats(), true
+	return e.sk.AutoscaleStats()
 }
 
 // Config returns a copy of the registry's normalised configuration — the
@@ -740,9 +708,10 @@ func (r *Registry) Infos() []SketchInfo {
 
 // Drop closes and removes the named sketch of the given family, reporting
 // whether it existed: its propagators stop (after an exact drain of every
-// buffer), its autoscale controller is stopped first, and the name becomes
-// free — the next accessor call under it creates a fresh, empty sketch with
-// no view, window, controller or lifecycle of its own. Handles retained by
+// buffer), its view, window and autoscale controller stop with it, and the
+// name becomes free — the next accessor call under it creates a fresh,
+// empty sketch with no view, window, controller or lifecycle of its own.
+// Handles retained by
 // callers stay queryable (merged queries are wait-free and summarise the
 // final drained state) but must not be updated: an Update on a dropped
 // sketch blocks forever, the same contract as Close. Like every registry
@@ -760,14 +729,7 @@ func (r *Registry) Drop(family, name string) bool {
 		return false
 	}
 	delete(r.sketches, k)
-	ctl := e.ctl
-	e.ctl = nil
 	r.mu.Unlock()
-	// Stop the controller before the propagators: a live controller mid-Tick
-	// could otherwise ask a closing sketch to resize.
-	if ctl != nil {
-		ctl.Stop()
-	}
 	e.sk.Close()
 	return true
 }
@@ -800,13 +762,6 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	// Controllers first: a stopped controller issues no further resizes, so
-	// no propagator can be asked to drain mid-shutdown.
-	for _, e := range r.sketches {
-		if e.ctl != nil {
-			e.ctl.Stop()
-		}
-	}
 	for _, e := range r.sketches {
 		e.sk.Close()
 	}

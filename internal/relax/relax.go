@@ -18,11 +18,16 @@
 //
 //	completedBefore(invoke(q)) − r  ≤  v  ≤  startedBefore(return(q)).
 //
-// The package records real histories with monotonic per-event timestamps —
-// queries, like updates, as an invoke/return pair around the read — and
-// checks this window for every query, providing the empirical
-// counterpart of the paper's Theorem 1 on actual executions (the
-// exhaustive-schedule counterpart lives in internal/core's model tests).
+// Envelope is that window as one predicate, written once for every checker
+// in the module. The package records real histories with monotonic
+// per-event timestamps — queries, like updates, as an invoke/return pair
+// around the read — and CheckDistinctExact applies Envelope to every
+// recorded query, providing the empirical counterpart of the paper's
+// Theorem 1 on actual executions (the exhaustive-schedule counterpart lives
+// in internal/core's model tests). The live stress driver,
+// internal/adversary's Stress, applies the same predicate to each answer it
+// races against concurrent writers, with r the bound composed over shards,
+// resizes and one refresh or rotation interval.
 package relax
 
 import (
@@ -161,6 +166,22 @@ func eachQuery(history []Event, f func(q Event, completedBefore, startedBefore i
 	return started
 }
 
+// Envelope is the r-relaxation predicate: it places one query answer v
+// against the window
+//
+//	completed − r ≤ v ≤ started
+//
+// where completed counts the updates completed before the query was invoked
+// and started those started before it returned. deficit is
+// (completed − r) − v, positive iff v misses more than r completed updates
+// and otherwise the (non-positive) margin to the lower edge; over reports
+// v > started, weight no invoked update supplied. v is justified iff
+// deficit ≤ 0 and !over; with r = 0 the window demands exactness of a
+// query no update overlapped.
+func Envelope(v float64, completed, started, r int64) (deficit float64, over bool) {
+	return float64(completed-r) - v, v > float64(started)
+}
+
 // CheckDistinctExact verifies a recorded history of a distinct-counting
 // sketch in exact mode (all updates unique, estimate = retained count)
 // against the r-relaxation window: each query's value is bounded below by
@@ -169,7 +190,7 @@ func eachQuery(history []Event, f func(q Event, completedBefore, startedBefore i
 func CheckDistinctExact(history []Event, r int) []Violation {
 	var violations []Violation
 	eachQuery(history, func(q Event, completed, started int) {
-		if q.Value < float64(completed-r) || q.Value > float64(started) {
+		if deficit, over := Envelope(q.Value, int64(completed), int64(started), int64(r)); deficit > 0 || over {
 			violations = append(violations, Violation{
 				QuerySeq:        q.Query,
 				Value:           q.Value,
@@ -194,9 +215,9 @@ type Stats struct {
 // Summarise computes history statistics.
 func Summarise(history []Event) Stats {
 	var st Stats
-	st.Updates = eachQuery(history, func(q Event, completed, _ int) {
+	st.Updates = eachQuery(history, func(q Event, completed, started int) {
 		st.Queries++
-		if d := float64(completed) - q.Value; d > st.MaxDeficit {
+		if d, _ := Envelope(q.Value, int64(completed), int64(started), 0); d > st.MaxDeficit {
 			st.MaxDeficit = d
 		}
 	})

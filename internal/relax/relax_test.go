@@ -125,6 +125,33 @@ func TestCheckDistinctExactWindow(t *testing.T) {
 	if st.Updates != 5 || st.Queries != 1 || st.MaxDeficit != 3 {
 		t.Fatalf("bad stats %+v", st)
 	}
+
+	// The window's edges with 5 completed and 2 more in flight, r=2: both
+	// edges are inclusive, one past either is a violation.
+	for _, c := range []struct {
+		v  float64
+		ok bool
+	}{
+		{3, true},  // v == completed − r
+		{7, true},  // v == started
+		{2, false}, // one below the lower edge
+		{8, false}, // one above the upper edge
+	} {
+		rec := NewRecorder()
+		for i := 0; i < 5; i++ {
+			rec.UpdateInvoked(0)
+			rec.UpdateReturned(0)
+		}
+		rec.UpdateInvoked(1)
+		rec.UpdateInvoked(2)
+		rec.QueryObserved(c.v)
+		if v := CheckDistinctExact(rec.History(), 2); (len(v) == 0) != c.ok {
+			t.Errorf("answer %v in [5−2, 7]: want ok=%v, got violations %v", c.v, c.ok, v)
+		}
+		if deficit, over := Envelope(c.v, 5, 7, 2); (deficit <= 0 && !over) != c.ok {
+			t.Errorf("Envelope(%v, 5, 7, 2) = (%v, %v), want ok=%v", c.v, deficit, over, c.ok)
+		}
+	}
 }
 
 func TestQueryExceedingStartedIsViolation(t *testing.T) {

@@ -1,15 +1,41 @@
 package shard_test
 
-// Relaxation-bound stress suite: the adversary package drives the sharded
+// Relaxation-bound stress suite: adversary.Stress drives the sharded
 // registry with concurrent writers and queriers and checks EVERY merged
-// query against the combined staleness bound S·r = S·2·N·b — and against
-// exactness during the eager phase. Run with -race in CI.
+// query against the composed staleness bound — S·r = S·2·N·b, widened while
+// a resize, window rotation or autoscale transition may be in flight — and
+// against exactness during the eager phase. Run with -race in CI.
 
 import (
 	"testing"
 
 	"fastsketches/internal/adversary"
 )
+
+// stress runs cfg and fails t unless the queriers ran and every answer
+// stayed inside the relaxation envelope: none missed more than the bound of
+// completed updates (a lost fold, drain, refresh or rotation) and none
+// exceeded the updates started (a double count).
+func stress(t *testing.T, cfg adversary.StressConfig) adversary.StressReport {
+	t.Helper()
+	rep, err := adversary.Stress(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%+v", rep)
+	if rep.Queries == 0 {
+		t.Fatal("queriers never ran")
+	}
+	if rep.LowerViolations != 0 {
+		t.Errorf("%d/%d answers missed more than the bound %d of completed updates (worst deficit %d)",
+			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
+	}
+	if rep.UpperViolations != 0 {
+		t.Errorf("%d/%d answers exceeded the updates started — state was double-counted",
+			rep.UpperViolations, rep.Queries)
+	}
+	return rep
+}
 
 func TestStressCountTotalsBound(t *testing.T) {
 	cfg := adversary.StressConfig{
@@ -20,90 +46,43 @@ func TestStressCountTotalsBound(t *testing.T) {
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 	}
-	rep, err := adversary.StressCountTotals(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("countmin stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d queries missed more than S·r=%d completed updates (worst deficit %d)",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d queries reported more weight than was ever started",
-			rep.UpperViolations, rep.Queries)
-	}
+	stress(t, cfg)
 }
 
 func TestStressCountTotalsEagerPrologueExact(t *testing.T) {
-	rep, err := adversary.StressCountTotals(adversary.StressConfig{
+	rep := stress(t, adversary.StressConfig{
 		Shards: 4, Writers: 4, BufferSize: 4,
 		UpdatesPerWriter: 8000, Queriers: 2,
 		MaxError: 0.1, // eager for ≈2/e² updates per shard first
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("countmin eager prologue: %d exact queries, then %d lazy queries within S·r=%d",
-		rep.EagerQueries, rep.Queries, rep.Bound)
 	if rep.EagerQueries == 0 {
 		t.Fatal("eager prologue never ran")
 	}
 	if rep.EagerViolations != 0 {
 		t.Errorf("%d/%d eager-phase queries were not exact", rep.EagerViolations, rep.EagerQueries)
 	}
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("lazy-phase violations: %d lower, %d upper (bound %d)",
-			rep.LowerViolations, rep.UpperViolations, rep.Bound)
-	}
 }
 
 func TestStressThetaDistinctBound(t *testing.T) {
-	rep, err := adversary.StressThetaDistinct(adversary.StressConfig{
+	stress(t, adversary.StressConfig{
+		Family: adversary.Theta,
 		Shards: 4, Writers: 4, BufferSize: 4, Queriers: 2,
 		MaxError: 1.0,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("theta stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d merged estimates missed more than S·r=%d completed updates",
-			rep.LowerViolations, rep.Queries, rep.Bound)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d merged estimates exceeded started updates", rep.UpperViolations, rep.Queries)
-	}
 }
 
 func TestStressThetaEagerPrologueExact(t *testing.T) {
-	rep, err := adversary.StressThetaDistinct(adversary.StressConfig{
+	rep := stress(t, adversary.StressConfig{
+		Family: adversary.Theta,
 		Shards: 2, Writers: 2, BufferSize: 4, Queriers: 2,
 		MaxError: 0.1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("theta eager prologue: %d exact queries, then %d lazy queries within S·r=%d",
-		rep.EagerQueries, rep.Queries, rep.Bound)
 	if rep.EagerQueries == 0 {
 		t.Fatal("eager prologue never ran")
 	}
 	if rep.EagerViolations != 0 {
 		t.Errorf("%d/%d eager-phase merged estimates were not exact",
 			rep.EagerViolations, rep.EagerQueries)
-	}
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("lazy-phase violations: %d lower, %d upper (bound %d)",
-			rep.LowerViolations, rep.UpperViolations, rep.Bound)
 	}
 }
 
@@ -123,24 +102,14 @@ func TestStressAccumulatorReuseUnderContention(t *testing.T) {
 		cfg.UpdatesPerWriter = 3000
 		cfg.Queriers = 4
 	}
-	for name, stress := range map[string]func(adversary.StressConfig) (adversary.StressReport, error){
-		"countmin": adversary.StressCountTotals,
-		"theta":    adversary.StressThetaDistinct,
+	for name, fam := range map[string]adversary.Family{
+		"countmin": adversary.CountMin,
+		"theta":    adversary.Theta,
 	} {
 		t.Run(name, func(t *testing.T) {
-			rep, err := stress(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%s pooled-path stress: %d queries over %d queriers, bound S·r=%d, worst deficit %d",
-				name, rep.Queries, cfg.Queriers, rep.Bound, rep.WorstDeficit)
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
-			if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-				t.Errorf("accumulator-reuse violations: %d lower, %d upper (bound %d)",
-					rep.LowerViolations, rep.UpperViolations, rep.Bound)
-			}
+			cfg := cfg
+			cfg.Family = fam
+			stress(t, cfg)
 		})
 	}
 }
@@ -149,20 +118,11 @@ func TestStressManyShardsManyWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	rep, err := adversary.StressCountTotals(adversary.StressConfig{
+	stress(t, adversary.StressConfig{
 		Shards: 8, Writers: 8, BufferSize: 8,
 		UpdatesPerWriter: 30000, Queriers: 4,
 		MaxError: 1.0,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("8×8 stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("violations under 8 shards × 8 writers: %d lower, %d upper",
-			rep.LowerViolations, rep.UpperViolations)
-	}
 }
 
 func TestStressAutoscaleUnderFire(t *testing.T) {
@@ -176,26 +136,17 @@ func TestStressAutoscaleUnderFire(t *testing.T) {
 	// control loop itself must also behave: the burst must produce at
 	// least one scale-up, the lull at least one scale-down to MinShards,
 	// and no transition may breach the policy's transitional staleness cap.
-	cfg := adversary.AutoscaleStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
+		Conductor: adversary.Autoscale,
 		MinShards: 1, MaxShards: 8,
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	rep, err := adversary.StressAutoscaleUnderFire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("autoscale stress: %d ups / %d downs, final S=%d, %d queries (%d post-settle), bound %d, worst deficit %d",
-		rep.ScaleUps, rep.ScaleDowns, rep.FinalShards, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
+	rep := stress(t, cfg)
 	if rep.ScaleUps == 0 {
 		t.Error("the write burst never scaled up: the controller is not reacting to measured pressure")
 	}
@@ -205,14 +156,6 @@ func TestStressAutoscaleUnderFire(t *testing.T) {
 	}
 	if rep.CapViolations != 0 {
 		t.Errorf("%d controller transitions breached the transitional staleness cap", rep.CapViolations)
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d answers missed more than the per-epoch bound %d (worst deficit %d)",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d answers exceeded started updates — a controller-driven drain double-counted retired state",
-			rep.UpperViolations, rep.Queries)
 	}
 	if rep.PostResizeQueries == 0 {
 		t.Error("no queries ran against the settled MinShards·r bound")
@@ -227,41 +170,25 @@ func TestStressResizeUnderFire(t *testing.T) {
 	// may be in flight, and inside the plain S_final·r envelope once the
 	// last Resize has returned — an upper breach would mean a drain
 	// double-counted retired updates, a lower breach that it lost them.
-	cfg := adversary.ResizeStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
 		Schedule: []int{8, 1, 6},
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	for name, stress := range map[string]func(adversary.ResizeStressConfig) (adversary.StressReport, error){
-		"countmin": adversary.StressResizeCountTotals,
-		"theta":    adversary.StressResizeThetaDistinct,
+	for name, fam := range map[string]adversary.Family{
+		"countmin": adversary.CountMin,
+		"theta":    adversary.Theta,
 	} {
 		t.Run(name, func(t *testing.T) {
-			rep, err := stress(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%s resize stress: %d resizes, %d queries (%d post-resize), transitional bound %d, worst deficit %d",
-				name, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
+			cfg := cfg
+			cfg.Family = fam
+			rep := stress(t, cfg)
 			if rep.Resizes != int64(len(cfg.Schedule)) {
 				t.Errorf("completed %d resizes, want %d", rep.Resizes, len(cfg.Schedule))
-			}
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
-			if rep.LowerViolations != 0 {
-				t.Errorf("%d/%d answers missed more than the transitional bound %d (worst deficit %d)",
-					rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-			}
-			if rep.UpperViolations != 0 {
-				t.Errorf("%d/%d answers exceeded started updates — a drain double-counted retired state",
-					rep.UpperViolations, rep.Queries)
 			}
 		})
 	}
@@ -296,35 +223,18 @@ func TestStressWindowRotateUnderFire(t *testing.T) {
 		"spanning-resize": {8, 1, 6},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := adversary.WindowStressConfig{
-				StressConfig: base,
-				Slots:        4,
-				Decay:        0.5,
-				Schedule:     schedule,
-			}
-			rep, err := adversary.StressWindowRotateUnderFire(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("window stress: %d rotations (%d expulsions), %d resizes, %d queries (%d post-settle), bound %d, worst deficit %d",
-				rep.Rotations, rep.Expulsions, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
+			cfg := base
+			cfg.Conductor = adversary.Rotate
+			cfg.Slots = 4
+			cfg.Decay = 0.5
+			cfg.Schedule = schedule
+			rep := stress(t, cfg)
 			if rep.Expulsions == 0 {
 				t.Fatalf("only %d rotations, none expelled a slot: the ring eviction path was never under fire",
 					rep.Rotations)
 			}
 			if rep.Resizes != int64(len(schedule)) {
 				t.Errorf("completed %d resizes, want %d", rep.Resizes, len(schedule))
-			}
-			if rep.LowerViolations != 0 {
-				t.Errorf("%d/%d windowed answers missed more than the bound %d past the expelled floor (worst deficit %d) — a rotation lost live-interval weight",
-					rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-			}
-			if rep.UpperViolations != 0 {
-				t.Errorf("%d/%d windowed answers exceeded started updates — a slot was double-counted",
-					rep.UpperViolations, rep.Queries)
 			}
 			if rep.PostResizeQueries == 0 {
 				t.Error("no queries ran against the settled post-rotation bound")
@@ -346,39 +256,22 @@ func TestStressViewUnderFire(t *testing.T) {
 	// publication. A lower breach means a refresh lost committed state (for
 	// instance the draining epoch's legacy); an upper breach means a fold
 	// double-counted.
-	cfg := adversary.ViewStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
-		Schedule: []int{8, 1, 6},
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
+		Schedule:  []int{8, 1, 6},
+		Conductor: adversary.Refresh,
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	rep, err := adversary.StressViewUnderFire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("view stress: %d refreshes, %d resizes, %d queries (%d post-resize), bound %d, worst deficit %d",
-		rep.Refreshes, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
+	rep := stress(t, cfg)
 	if rep.Refreshes < 2 {
 		t.Fatalf("only %d refreshes published: the conductor never drove the view", rep.Refreshes)
 	}
 	if rep.Resizes != int64(len(cfg.Schedule)) {
 		t.Errorf("completed %d resizes, want %d", rep.Resizes, len(cfg.Schedule))
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d viewed answers missed more than the bound %d (worst deficit %d) — a refresh lost committed state",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d viewed answers exceeded started updates — a refresh double-counted state",
-			rep.UpperViolations, rep.Queries)
 	}
 	if rep.PostResizeQueries == 0 {
 		t.Error("no queries ran against the settled post-resize view bound")

@@ -240,7 +240,7 @@ func TestViewQueryPathZeroAlloc(t *testing.T) {
 func TestViewConcurrentSmoke(t *testing.T) {
 	// Writers, a fast refresher, queriers and a resize all racing — run
 	// under -race this exercises the double-buffer handshake; the full bound
-	// assertion lives in the adversary StressViewUnderFire suite.
+	// assertion lives in TestStressViewUnderFire.
 	sk, err := shard.NewCountMin(0.001, 0.01, shard.Config{
 		Shards: 4, Writers: 2, MaxError: 1, BufferSize: 4,
 	})
